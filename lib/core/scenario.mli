@@ -36,15 +36,6 @@ type options = {
   profiler : Rf_obs.Profiler.t option;
       (** when set, attached to the engine before anything is
           scheduled, so boot-phase work is attributed too *)
-  shards : int;
-      (** >= 2 registers a static contiguous block partition of the
-          network nodes ({!Rf_net.Network.set_partition}) and surfaces
-          its cut statistics — shard count, cross links, lookahead
-          bound — in the telemetry meta. 1 (default) records nothing,
-          keeping unpartitioned fingerprints unchanged. Build raises
-          [Invalid_argument] when a zero-latency link crosses the
-          cut, since such a cut leaves a sharded engine no
-          conservative-lookahead horizon *)
   audit : bool;
       (** attaches a continuous forwarding-state auditor
           ({!Rf_obs.Auditor}) fed by flow-table snapshots (on every
@@ -145,8 +136,8 @@ val telemetry_jsonl : ?meta:(string * string) list -> t -> string
 (** The full span/event stream as JSON lines, preceded by a meta line:
     seed, switch and subnet counts, run outcomes when observed
     ([all_green_s], [converged_s], [last_fault_s], [reconverged_s],
-    [fault_events]), drop counts when non-zero ([trace_dropped] plus
-    the exporter's own), and [meta]. Deterministic: two same-seed runs
+    [fault_events]), the exporter's drop counts when non-zero, and
+    [meta]. Deterministic: two same-seed runs
     produce byte-identical output, and the meta line alone lets
     [Rf_obs.Slo] judge a run from its telemetry file. *)
 
@@ -158,9 +149,6 @@ val prometheus : t -> string
 
 val span_stats : t -> Rf_obs.Export.span_stat list
 (** Per-span-name aggregates (count, open, total/mean/max seconds). *)
-
-val trace_dropped : t -> int
-(** Event-log records discarded because the trace ring was full. *)
 
 val reconverged_at : t -> Rf_sim.Vtime.t option
 (** Time of the last observed route-table change at or after the last

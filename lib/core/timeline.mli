@@ -1,6 +1,7 @@
-(** Typed configuration timeline, reconstructed from the engine trace.
+(** Typed configuration timeline, reconstructed from the engine's
+    tracer.
 
-    Turns the framework's trace records into the milestone sequence of
+    Turns the framework's trace events into the milestone sequence of
     one autoconfiguration run — the machine-readable version of the
     demo's GUI. *)
 
@@ -13,8 +14,8 @@ type milestone =
 
 type entry = { at : Rf_sim.Vtime.t; milestone : milestone }
 
-val of_trace : Rf_sim.Trace.t -> entry list
-(** Chronological; ignores unrelated trace records. *)
+val of_trace : Rf_obs.Tracer.t -> entry list
+(** Chronological; ignores unrelated trace events. *)
 
 val of_scenario : Scenario.t -> entry list
 

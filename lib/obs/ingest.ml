@@ -134,5 +134,4 @@ let dropped_records dump =
     | Some s -> ( match int_of_string_opt s with Some i -> i | None -> 0)
     | None -> 0
   in
-  n "dropped_spans" + n "dropped_events" + n "trace_dropped"
-  + n "audit_dropped"
+  n "dropped_spans" + n "dropped_events" + n "audit_dropped"

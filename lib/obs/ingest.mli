@@ -37,6 +37,6 @@ val meta_float : dump -> string -> float option
 val spans_named : dump -> string -> Tracer.span list
 
 val dropped_records : dump -> int
-(** Sum of the [dropped_spans], [dropped_events], [trace_dropped] and
-    [audit_dropped] meta counts (each 0 when absent) — the
+(** Sum of the [dropped_spans], [dropped_events] and [audit_dropped]
+    meta counts (each 0 when absent) — the
     completeness input for {!Slo} rules. *)

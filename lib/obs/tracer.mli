@@ -77,8 +77,8 @@ val event :
 val event_at :
   t -> ?span:int -> us:int -> component:string -> kind:string -> string ->
   unit
-(** Explicit-timestamp variant, used by [Rf_sim.Trace] which carries
-    its own [Vtime.t] stamps. *)
+(** Explicit-timestamp variant, used by [Rf_sim.Engine.record] to
+    stamp events with the engine's current instant. *)
 
 val events : t -> event list
 (** All events in insertion order. *)

@@ -8,7 +8,6 @@ type t = {
   mutable clock : Vtime.t;
   queue : timer Event_heap.t;
   rng : Rng.t;
-  trace : Trace.t;
   tracer : Rf_obs.Tracer.t;
   metrics : Rf_obs.Metrics.t;
   unattributed : Rf_obs.Profiler.entity;
@@ -17,14 +16,13 @@ type t = {
   mutable executed : int;
 }
 
-let create_with_rng rng =
+let create ?(seed = 42) () =
   let tracer = Rf_obs.Tracer.create () in
   let t =
     {
       clock = Vtime.zero;
       queue = Event_heap.create ();
-      rng;
-      trace = Trace.create ~tracer ();
+      rng = Rng.create seed;
       tracer;
       metrics = Rf_obs.Metrics.create ();
       unattributed = Rf_obs.Profiler.unattributed ();
@@ -38,13 +36,9 @@ let create_with_rng rng =
   Rf_obs.Tracer.set_clock tracer (fun () -> Vtime.to_us t.clock);
   t
 
-let create ?(seed = 42) () = create_with_rng (Rng.create seed)
-
 let now t = t.clock
 
 let rng t = t.rng
-
-let trace t = t.trace
 
 let tracer t = t.tracer
 
@@ -53,8 +47,6 @@ let metrics t = t.metrics
 let set_profiler t p = t.profiler <- p
 
 let profiler t = t.profiler
-
-let next_time t = Event_heap.peek_time t.queue
 
 let heap_depth t = Event_heap.size t.queue
 
@@ -111,7 +103,8 @@ let periodic ?entity t ?jitter every f =
 let cancel timer = timer.cancelled <- true
 
 let record t ?span ~component ~event detail =
-  Trace.record t.trace ?span t.clock ~component ~event detail
+  Rf_obs.Tracer.event_at t.tracer ?span ~us:(Vtime.to_us t.clock) ~component
+    ~kind:event detail
 
 type run_result = Quiescent | Deadline_reached | Stopped
 

@@ -12,22 +12,14 @@ type timer
 
 val create : ?seed:int -> unit -> t
 
-val create_with_rng : Rng.t -> t
-(** Like [create] but with a caller-built generator — shard drivers use
-    {!Rng.derive_label} streams so a shard's draws depend only on the
-    root seed and the shard's label, never on the shard count. *)
-
 val now : t -> Vtime.t
 
 val rng : t -> Rng.t
 (** The engine's root generator; components normally [Rng.split] it. *)
 
-val trace : t -> Trace.t
-
 val tracer : t -> Rf_obs.Tracer.t
 (** The engine's telemetry bus; its clock is the virtual clock, so
-    span/event timestamps are deterministic microseconds. [trace] and
-    [tracer] share one underlying event stream. *)
+    span/event timestamps are deterministic microseconds. *)
 
 val metrics : t -> Rf_obs.Metrics.t
 (** The engine-wide metrics registry. Components get-or-create their
@@ -42,11 +34,6 @@ val set_profiler : t -> Rf_obs.Profiler.t option -> unit
 val profiler : t -> Rf_obs.Profiler.t option
 (** Components consult this at construction time to decide whether to
     build entity handles and record message-matrix entries. *)
-
-val next_time : t -> Vtime.t option
-(** Timestamp of the earliest queued event, [None] when the queue is
-    empty. Shard drivers ({!Shard_engine}) read this to compute the
-    conservative-lookahead horizon they may [run ~until] safely. *)
 
 val heap_depth : t -> int
 (** Current event-queue depth. *)
@@ -79,8 +66,8 @@ val cancel : timer -> unit
 (** Cancelling an already-fired one-shot timer is a no-op. *)
 
 val record : t -> ?span:int -> component:string -> event:string -> string -> unit
-(** Appends to the engine trace at the current instant; [?span] links
-    the record to a telemetry span. *)
+(** Appends an event to the engine's tracer at the current instant;
+    [?span] links the record to a telemetry span. *)
 
 type run_result =
   | Quiescent  (** event queue drained *)

@@ -19,6 +19,5 @@ let () = Alcotest.run "routeflow-autoconf" [
       ("traffic", Test_traffic.suite);
       ("analysis", Test_analysis.suite);
       ("profiler", Test_profiler.suite);
-      ("shard", Test_shard.suite);
       ("auditor", Test_auditor.suite);
     ]

@@ -5,7 +5,7 @@ module Event_heap = Rf_sim.Event_heap
 module Engine = Rf_sim.Engine
 module Rng = Rf_sim.Rng
 module Stats = Rf_sim.Stats
-module Trace = Rf_sim.Trace
+module Tracer = Rf_obs.Tracer
 
 (* --- Vtime --------------------------------------------------------- *)
 
@@ -284,28 +284,33 @@ let test_trace_query () =
     (Engine.schedule e (Vtime.span_s 2.0) (fun () ->
          Engine.record e ~component:"b" ~event:"x" "two"));
   ignore (Engine.run e);
-  let tr = Engine.trace e in
-  Alcotest.(check int) "size" 2 (Trace.size tr);
-  (match Trace.find_first tr (fun r -> r.Trace.event = "x") with
-  | Some r -> Alcotest.(check string) "first" "one" r.Trace.detail
-  | None -> Alcotest.fail "missing");
-  match Trace.find_last tr (fun r -> r.Trace.event = "x") with
-  | Some r -> Alcotest.(check string) "last" "two" r.Trace.detail
-  | None -> Alcotest.fail "missing"
+  let evs = Tracer.events (Engine.tracer e) in
+  Alcotest.(check int) "size" 2 (List.length evs);
+  Alcotest.(check (list (pair int string)))
+    "stamped at the virtual clock, in order"
+    [ (1_000_000, "a"); (2_000_000, "b") ]
+    (List.map (fun (ev : Tracer.event) -> (ev.time_us, ev.component)) evs);
+  match List.rev (List.filter (fun (ev : Tracer.event) -> ev.kind = "x") evs) with
+  | last :: _ -> Alcotest.(check string) "last" "two" last.Tracer.detail
+  | [] -> Alcotest.fail "missing"
 
 let test_trace_capacity () =
-  let tr = Trace.create ~capacity:2 () in
-  List.iter
-    (fun (t, d) -> Trace.record tr (Vtime.of_s t) ~component:"c" ~event:"e" d)
+  let record tr (t, d) =
+    Tracer.event_at tr ~us:(Vtime.to_us (Vtime.of_s t)) ~component:"c"
+      ~kind:"e" d
+  in
+  let tr = Tracer.create ~max_events:2 () in
+  List.iter (record tr)
     [ (1.0, "one"); (2.0, "two"); (3.0, "three"); (4.0, "four") ];
-  Alcotest.(check int) "size capped" 2 (Trace.size tr);
-  Alcotest.(check int) "drops counted" 2 (Trace.dropped tr);
+  Alcotest.(check int) "size capped" 2 (Tracer.event_count tr);
+  Alcotest.(check int) "drops counted" 2 (Tracer.dropped_events tr);
   Alcotest.(check (list string))
     "oldest records kept" [ "one"; "two" ]
-    (List.map (fun r -> r.Trace.detail) (Trace.to_list tr));
-  let unbounded = Trace.create () in
-  Trace.record unbounded (Vtime.of_s 1.0) ~component:"c" ~event:"e" "x";
-  Alcotest.(check int) "no drops without capacity" 0 (Trace.dropped unbounded)
+    (List.map (fun (ev : Tracer.event) -> ev.detail) (Tracer.events tr));
+  let unbounded = Tracer.create () in
+  record unbounded (1.0, "x");
+  Alcotest.(check int) "no drops without capacity" 0
+    (Tracer.dropped_events unbounded)
 
 let suite =
   [
