@@ -249,10 +249,15 @@ let mask_len_of m =
   ((v * 0x01010101) land 0xFFFFFFFF) lsr 24
 
 (* A prefix as a plain int, ordered exactly like [Prefix.compare]
-   (signed 32-bit network address, then length): cheap hash key and
-   sort/merge comparand on the route-publication path. *)
+   (unsigned 32-bit network address, then length): cheap hash key and
+   sort comparand on the route-publication path. The mask drops the
+   sign extension of [Int32.to_int], without which 128.0.0.0 and up
+   would sort before 10.0.0.0 and break the sorted merge against the
+   previous route list. *)
 let prefix_key p =
-  (Int32.to_int (Ipv4_addr.to_int32 (Ipv4_addr.Prefix.network p)) lsl 6)
+  ((Int32.to_int (Ipv4_addr.to_int32 (Ipv4_addr.Prefix.network p))
+   land 0xFFFFFFFF)
+   lsl 6)
   lor Ipv4_addr.Prefix.length p
 
 (* Stub links of [rid]'s router LSA as (prefix, key, metric) triples,
@@ -850,6 +855,8 @@ let spf_runs t = t.spf_count
 let spf_now t =
   run_spf t;
   List.length t.last_routes
+
+let routes t = t.last_routes
 
 let is_adjacent_to t rid =
   match Hashtbl.find_opt t.nbr_tbl rid with

@@ -76,6 +76,11 @@ val spf_now_full : t -> int
     scratch. The reference oracle for the incremental path: both must
     produce identical routes. *)
 
+val routes : t -> Rib.route list
+(** The OSPF route list the last SPF run published. The RIB's OSPF
+    candidates must equal [Rib.replace_proto] of this list — the
+    contract differential tests check. *)
+
 val install_lsa : t -> Ospf_pkt.lsa -> unit
 (** Installs an LSA directly into the LSDB (bypassing flooding) and
     schedules SPF, as receiving it in an LS Update would. For

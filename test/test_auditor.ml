@@ -332,6 +332,64 @@ let prop_full_recheck_idempotent =
       let after = observable au in
       before = after)
 
+(* --- Ring cut near the top of the address plan ---------------------- *)
+
+(* A 16-switch ring with one host per switch, cut between sw14 and
+   sw15. The cut withdraws the highest 172.16 stub from OSPF; route
+   publication used to drop every host /24 along with it on the far
+   side, so sw15 and sw16 blackholed for as long as the cut lasted.
+   Five seconds in, the auditor must see no open violation and every
+   VM must route to every subnet the cut left alive. *)
+let test_ring_cut_reroutes () =
+  let module Scenario = Rf_core.Scenario in
+  let module Topology = Rf_net.Topology in
+  let module Rf_system = Rf_routeflow.Rf_system in
+  let module Rib = Rf_routing.Rib in
+  let n = 16 in
+  let topo = Rf_net.Topo_gen.ring n in
+  let host i = Printf.sprintf "h%02d" i in
+  for i = 1 to n do
+    Topology.add_host topo (host i);
+    ignore
+      (Topology.connect topo (Topology.Host (host i))
+         (Topology.Switch (Int64.of_int i)))
+  done;
+  let base = Scenario.default_options in
+  let options =
+    {
+      base with
+      rf_params =
+        {
+          base.Scenario.rf_params with
+          Rf_system.vm_boot_time = Rf_sim.Vtime.span_s 2.0;
+          parallel_boot = n;
+        };
+      faults = Rf_sim.Faults.(plan [ link_down ~at_s:40.0 14L 15L ]);
+      audit = true;
+    }
+  in
+  let s = Scenario.build ~options topo in
+  Scenario.run_for s (Rf_sim.Vtime.span_s 45.0);
+  let au = Option.get (Scenario.auditor s) in
+  Alcotest.(check (list (pair string string)))
+    "no open violation 5 s into the cut" []
+    (List.map (fun (k, key) -> (A.kind_to_string k, key)) (A.open_violations au));
+  List.iter
+    (fun (dpid, vm) ->
+      let rib = Rf_routeflow.Vm.rib vm in
+      (* every subnet but the cut link's own /30 *)
+      Alcotest.(check int)
+        (Printf.sprintf "vm %Ld routes every live subnet" dpid)
+        (Scenario.total_subnets s - 1)
+        (Rib.size rib);
+      for i = 1 to n do
+        Alcotest.(check bool)
+          (Printf.sprintf "vm %Ld reaches %s" dpid (host i))
+          true
+          (Rib.lookup rib (Scenario.host_ip s (host i)) <> None)
+      done)
+    (Rf_system.vms (Scenario.rf_system s))
+
 (* --- E9 leader-crash replay, reduced ring, seed 42 ----------------- *)
 
 (* A 10-switch replica of the E9 audit replay (leader crash at 30 s,
@@ -392,6 +450,8 @@ let suite =
     Alcotest.test_case "slice isolation window" `Quick test_slice_isolation;
     QCheck_alcotest.to_alcotest prop_incremental_matches_rebuild;
     QCheck_alcotest.to_alcotest prop_full_recheck_idempotent;
+    Alcotest.test_case "ring cut 14-15 is routed around" `Quick
+      test_ring_cut_reroutes;
     Alcotest.test_case "E9 failover replay pins its windows" `Slow
       test_e9_regression;
     Alcotest.test_case "E9 replay is deterministic" `Slow test_e9_deterministic;

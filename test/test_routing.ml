@@ -451,7 +451,9 @@ let prop_spf_incremental_matches_full =
 (* The daemon-level contract: after a sequence of LSA flaps, the RIB an
    incremental spf_now leaves behind is exactly what spf_now_full (the
    from-scratch oracle) computes — prefixes, metrics, next hops,
-   interfaces, and ordering. *)
+   interfaces, and ordering. Both paths publish through the same
+   sorted merge, so each is also checked against a wholesale
+   [Rib.replace_proto] of its route list. *)
 let route_repr (r : Rib.route) =
   ( Ipv4_addr.Prefix.to_string r.Rib.r_prefix,
     Rib.proto_name r.Rib.r_proto,
@@ -462,18 +464,119 @@ let route_repr (r : Rib.route) =
     | Some h -> Ipv4_addr.to_string h),
     r.Rib.r_iface )
 
+(* The RIB's OSPF candidates, and what a wholesale [Rib.replace_proto]
+   of the daemon's published route list would leave in a fresh RIB: the
+   sorted-merge publication must be indistinguishable from the latter. *)
+let ospf_content rib =
+  List.filter_map
+    (fun (r : Rib.route) ->
+      if r.Rib.r_proto = Rib.Ospf then Some (route_repr r) else None)
+    (Rib.selected rib)
+
+let replace_proto_content d =
+  let fresh = Rib.create () in
+  Rib.replace_proto fresh Rib.Ospf (Ospfd.routes d);
+  List.map route_repr (Rib.selected fresh)
+
+let check_rib_is_replace_proto msg rib d =
+  Alcotest.(check (list (pair string (pair string (pair int (pair int (pair string string)))))))
+    msg
+    (List.map
+       (fun (a, b, c, d', e, f) -> (a, (b, (c, (d', (e, f))))))
+       (replace_proto_content d))
+    (List.map
+       (fun (a, b, c, d', e, f) -> (a, (b, (c, (d', (e, f))))))
+       (ospf_content rib))
+
+(* Re-originates [rid]'s router LSA as seen by [d], one sequence number
+   up, with its link list passed through [f]. *)
+let reoriginate d rid f =
+  let lsa =
+    List.find
+      (fun (l : Ospf_pkt.lsa) -> Ipv4_addr.compare l.adv_router rid = 0)
+      (Ospfd.lsdb d)
+  in
+  let body =
+    match lsa.Ospf_pkt.body with
+    | Ospf_pkt.Router { links } -> Ospf_pkt.Router { links = f links }
+    | b -> b
+  in
+  Ospfd.install_lsa d { lsa with seq = Int32.succ lsa.Ospf_pkt.seq; body }
+
+let ospfd_join engine a b =
+  Iface.set_transmit a (fun f ->
+      ignore
+        (Engine.schedule engine (Vtime.span_ms 1) (fun () -> Iface.deliver b f)));
+  Iface.set_transmit b (fun f ->
+      ignore
+        (Engine.schedule engine (Vtime.span_ms 1) (fun () -> Iface.deliver a f)))
+
+(* Stub prefixes on both sides of the signed 32-bit boundary (10.0.x
+   and 172.16.x): withdrawing the highest 172.16 stub must withdraw
+   exactly that prefix. Publication once ordered its new route list by
+   the signed network address but merged it against the previous one
+   in unsigned [Prefix.compare] order; this removal then walked past
+   the stub, updated every 10.0.x route and withdrew them all again. *)
+let test_ospfd_publication_spans_address_halves () =
+  let engine = Engine.create () in
+  let n = 3 in
+  let ribs = Array.init n (fun _ -> Rib.create ()) in
+  let routers =
+    Array.init n (fun i ->
+        let rid = ip (Printf.sprintf "10.250.1.%d" (i + 1)) in
+        Ospfd.create engine (Ospfd.default_config ~router_id:rid) ribs.(i))
+  in
+  Array.iteri
+    (fun i d ->
+      List.iteri
+        (fun j (addr, len) ->
+          Ospfd.add_interface d ~passive:true
+            (Iface.create
+               ~name:(Printf.sprintf "stub%d" j)
+               ~mac:(Mac.make_local (7300 + (2 * i) + j))
+               ~ip:(ip addr) ~prefix_len:len ()))
+        [
+          (Printf.sprintf "10.0.%d.1" i, 24);
+          (Printf.sprintf "172.16.%d.1" i, 30);
+        ])
+    routers;
+  for i = 0 to n - 2 do
+    let mk name last =
+      Iface.create ~name
+        ~mac:(Mac.make_local (7400 + (2 * i) + last - 1))
+        ~ip:(ip (Printf.sprintf "10.9.%d.%d" i last))
+        ~prefix_len:30 ()
+    in
+    let ia = mk (Printf.sprintf "r%d" i) 1 in
+    let ib = mk (Printf.sprintf "l%d" (i + 1)) 2 in
+    ospfd_join engine ia ib;
+    Ospfd.add_interface routers.(i) ia;
+    Ospfd.add_interface routers.(i + 1) ib
+  done;
+  Array.iter Ospfd.start routers;
+  ignore (Engine.run ~until:(Vtime.of_s 60.) engine);
+  let d = routers.(0) and rib = ribs.(0) in
+  check_rib_is_replace_proto "converged" rib d;
+  let highest = ip "172.16.2.0" in
+  let has_highest () =
+    List.exists
+      (fun (r : Rib.route) ->
+        Ipv4_addr.equal (Ipv4_addr.Prefix.network r.Rib.r_prefix) highest)
+      (Ospfd.routes d)
+  in
+  Alcotest.(check bool) "highest 172.16 stub published" true (has_highest ());
+  let before = List.length (Ospfd.routes d) in
+  reoriginate d (ip "10.250.1.3")
+    (List.filter (fun (l : Ospf_pkt.router_link) ->
+         not (Ipv4_addr.equal l.link_id highest)));
+  ignore (Ospfd.spf_now d);
+  Alcotest.(check bool) "stub withdrawn" false (has_highest ());
+  Alcotest.(check int) "only that prefix left" (before - 1)
+    (List.length (Ospfd.routes d));
+  check_rib_is_replace_proto "after the highest 172.16 stub is withdrawn" rib d
+
 let test_ospfd_incremental_rib_oracle () =
   let engine = Engine.create () in
-  let join a b =
-    Iface.set_transmit a (fun f ->
-        ignore
-          (Engine.schedule engine (Vtime.span_ms 1) (fun () ->
-               Iface.deliver b f)));
-    Iface.set_transmit b (fun f ->
-        ignore
-          (Engine.schedule engine (Vtime.span_ms 1) (fun () ->
-               Iface.deliver a f)))
-  in
   let n = 6 in
   let ribs = Array.init n (fun _ -> Rib.create ()) in
   let routers =
@@ -492,6 +595,13 @@ let test_ospfd_incremental_rib_oracle () =
       in
       Ospfd.add_interface d ~passive:true stub)
     routers;
+  (* The flapped router also carries the highest prefix of all, in
+     172.16/12, so withdrawing it exercises the merge across the
+     signed 32-bit boundary. *)
+  let extra = ip "172.30.0.0" in
+  Ospfd.add_interface routers.(4) ~passive:true
+    (Iface.create ~name:"extra" ~mac:(Mac.make_local 7050)
+       ~ip:(ip "172.30.0.1") ~prefix_len:24 ());
   for i = 0 to n - 2 do
     let ia =
       Iface.create
@@ -507,7 +617,7 @@ let test_ospfd_incremental_rib_oracle () =
         ~ip:(ip (Printf.sprintf "172.21.%d.2" i))
         ~prefix_len:30 ()
     in
-    join ia ib;
+    ospfd_join engine ia ib;
     Ospfd.add_interface routers.(i) ia;
     Ospfd.add_interface routers.(i + 1) ib
   done;
@@ -516,37 +626,39 @@ let test_ospfd_incremental_rib_oracle () =
   let d = routers.(0) in
   let rib = ribs.(0) in
   let flap_rid = ip "10.250.0.5" in
-  let base_lsa =
-    List.find
-      (fun (l : Ospf_pkt.lsa) -> Ipv4_addr.compare l.adv_router flap_rid = 0)
-      (Ospfd.lsdb d)
+  let base_links =
+    match
+      (List.find
+         (fun (l : Ospf_pkt.lsa) -> Ipv4_addr.compare l.adv_router flap_rid = 0)
+         (Ospfd.lsdb d))
+        .Ospf_pkt.body
+    with
+    | Ospf_pkt.Router { links } -> links
+    | _ -> Alcotest.fail "flapped router has no router LSA"
   in
-  let seq = ref base_lsa.Ospf_pkt.seq in
-  let flap metric =
-    seq := Int32.succ !seq;
-    let body =
-      match base_lsa.Ospf_pkt.body with
-      | Ospf_pkt.Router { links } ->
-          Ospf_pkt.Router
-            {
-              links =
-                List.map
-                  (fun (l : Ospf_pkt.router_link) ->
-                    match l.link_type with
-                    | Ospf_pkt.Point_to_point -> { l with metric }
-                    | _ -> l)
-                  links;
-            }
-      | b -> b
-    in
-    Ospfd.install_lsa d { base_lsa with seq = !seq; body }
+  let flap (metric, with_extra) =
+    reoriginate d flap_rid (fun _ ->
+        List.filter_map
+          (fun (l : Ospf_pkt.router_link) ->
+            match l.link_type with
+            | Ospf_pkt.Point_to_point -> Some { l with metric }
+            | _ when Ipv4_addr.equal l.link_id extra ->
+                if with_extra then Some l else None
+            | _ -> Some l)
+          base_links)
   in
   List.iteri
-    (fun step metric ->
-      flap metric;
+    (fun step change ->
+      flap change;
       let n_inc = Ospfd.spf_now d in
       let after_inc = List.map route_repr (Rib.selected rib) in
+      check_rib_is_replace_proto
+        (Printf.sprintf "incremental RIB = replace_proto, step %d" step)
+        rib d;
       let n_full = Ospfd.spf_now_full d in
+      check_rib_is_replace_proto
+        (Printf.sprintf "full RIB = replace_proto, step %d" step)
+        rib d;
       let after_full = List.map route_repr (Rib.selected rib) in
       Alcotest.(check int)
         (Printf.sprintf "route count, step %d" step)
@@ -559,7 +671,9 @@ let test_ospfd_incremental_rib_oracle () =
         (List.map
            (fun (a, b, c, d', e, f) -> (a, (b, (c, (d', (e, f))))))
            after_inc))
-    [ 11; 10; 25; 10; 3; 10 ]
+    [
+      (11, true); (10, true); (25, false); (10, false); (3, true); (10, true);
+    ]
 
 let suite =
   [
@@ -592,4 +706,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_spf_incremental_matches_full;
     Alcotest.test_case "ospfd incremental SPF leaves oracle RIB" `Quick
       test_ospfd_incremental_rib_oracle;
+    Alcotest.test_case "ospfd publication spans address halves" `Quick
+      test_ospfd_publication_spans_address_halves;
   ]
