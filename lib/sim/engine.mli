@@ -33,7 +33,7 @@ val set_profiler : t -> Rf_obs.Profiler.t option -> unit
 
 val profiler : t -> Rf_obs.Profiler.t option
 (** Components consult this at construction time to decide whether to
-    build entity handles and record message-matrix entries. *)
+    build entity handles. *)
 
 val heap_depth : t -> int
 (** Current event-queue depth. *)

@@ -335,11 +335,11 @@ let prop_full_recheck_idempotent =
 (* --- Ring cut near the top of the address plan ---------------------- *)
 
 (* A 16-switch ring with one host per switch, cut between sw14 and
-   sw15. The cut withdraws the highest 172.16 stub from OSPF; route
-   publication used to drop every host /24 along with it on the far
-   side, so sw15 and sw16 blackholed for as long as the cut lasted.
-   Five seconds in, the auditor must see no open violation and every
-   VM must route to every subnet the cut left alive. *)
+   sw15. The cut withdraws the highest 172.16 stub from OSPF, the case
+   where a publication merge out of step with its sort order drops
+   every host /24 on the far side and blackholes sw15 and sw16 for the
+   whole cut. Five seconds in, the auditor must see no open violation
+   and every VM must route to every subnet the cut left alive. *)
 let test_ring_cut_reroutes () =
   let module Scenario = Rf_core.Scenario in
   let module Topology = Rf_net.Topology in

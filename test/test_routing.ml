@@ -478,15 +478,13 @@ let replace_proto_content d =
   Rib.replace_proto fresh Rib.Ospf (Ospfd.routes d);
   List.map route_repr (Rib.selected fresh)
 
-let check_rib_is_replace_proto msg rib d =
+let check_routes msg expected actual =
+  let nest = List.map (fun (a, b, c, d, e, f) -> (a, (b, (c, (d, (e, f)))))) in
   Alcotest.(check (list (pair string (pair string (pair int (pair int (pair string string)))))))
-    msg
-    (List.map
-       (fun (a, b, c, d', e, f) -> (a, (b, (c, (d', (e, f))))))
-       (replace_proto_content d))
-    (List.map
-       (fun (a, b, c, d', e, f) -> (a, (b, (c, (d', (e, f))))))
-       (ospf_content rib))
+    msg (nest expected) (nest actual)
+
+let check_rib_is_replace_proto msg rib d =
+  check_routes msg (replace_proto_content d) (ospf_content rib)
 
 (* Re-originates [rid]'s router LSA as seen by [d], one sequence number
    up, with its link list passed through [f]. *)
@@ -513,10 +511,10 @@ let ospfd_join engine a b =
 
 (* Stub prefixes on both sides of the signed 32-bit boundary (10.0.x
    and 172.16.x): withdrawing the highest 172.16 stub must withdraw
-   exactly that prefix. Publication once ordered its new route list by
-   the signed network address but merged it against the previous one
-   in unsigned [Prefix.compare] order; this removal then walked past
-   the stub, updated every 10.0.x route and withdrew them all again. *)
+   exactly that prefix. The sorted merge in publication only works when
+   the new route list is sorted in [Prefix.compare] (unsigned) order; a
+   signed sort puts 172.16.x first, and this removal then withdraws
+   every 10.0.x route along with the stub. *)
 let test_ospfd_publication_spans_address_halves () =
   let engine = Engine.create () in
   let n = 3 in
@@ -663,14 +661,9 @@ let test_ospfd_incremental_rib_oracle () =
       Alcotest.(check int)
         (Printf.sprintf "route count, step %d" step)
         n_full n_inc;
-      Alcotest.(check (list (pair string (pair string (pair int (pair int (pair string string)))))))
+      check_routes
         (Printf.sprintf "RIB identical, step %d" step)
-        (List.map
-           (fun (a, b, c, d', e, f) -> (a, (b, (c, (d', (e, f))))))
-           after_full)
-        (List.map
-           (fun (a, b, c, d', e, f) -> (a, (b, (c, (d', (e, f))))))
-           after_inc))
+        after_full after_inc)
     [
       (11, true); (10, true); (25, false); (10, false); (3, true); (10, true);
     ]
