@@ -36,6 +36,19 @@ let of_string = function
   | "e12" -> Some E12
   | _ -> None
 
+(* The [experiment] meta values the writers in Experiment put in their
+   dumps, mapped to the rule set that judges them. *)
+let of_dump dump =
+  match Ingest.meta_value dump "experiment" with
+  | Some ("e1-phases" | "fig3" | "demo") -> Some E1b
+  | Some "failure" -> Some E3
+  | Some "restart" -> Some E4
+  | Some "traffic" -> Some E6
+  | Some "cluster" -> Some E9
+  | Some "profile" -> Some E10
+  | Some "audit" -> Some E12
+  | Some _ | None -> None
+
 let describe = function
   | E1b -> "phase decomposition, 8-switch ring, 2 s boots"
   | E3 -> "link cut under live traffic, 6-switch ring"

@@ -19,6 +19,10 @@ val name : experiment -> string
 
 val of_string : string -> experiment option
 
+val of_dump : Rf_obs.Ingest.dump -> experiment option
+(** The rule set for a dump, from the [experiment] value of its meta
+    line; [None] when it is missing or unknown. *)
+
 val describe : experiment -> string
 
 val run_dump : ?seed:int -> experiment -> Rf_obs.Ingest.dump

@@ -32,26 +32,45 @@ let params ?(protocol = Rf_system.Proto_ospf) ~vm_boot_s ~parallel_boot () =
     routing_protocol = protocol;
   }
 
+(* One autoconfiguration run of [topo]: [vm_boot_s]-second VM boots,
+   [parallel_boot] at a time. The default horizon is generous because
+   boots dominate. *)
+let config_run ?profiler ?horizon_s ~vm_boot_s ~parallel_boot topo =
+  let options =
+    {
+      Scenario.default_options with
+      rf_params = params ~vm_boot_s ~parallel_boot ();
+      profiler;
+    }
+  in
+  let s = Scenario.build ~options topo in
+  let horizon =
+    match horizon_s with
+    | Some h -> h
+    | None ->
+        (vm_boot_s *. float_of_int (Topology.switch_count topo)
+        /. float_of_int parallel_boot)
+        +. 120.
+  in
+  Scenario.run_for s (Vtime.span_s horizon);
+  s
+
+let write_telemetry s telemetry meta =
+  Option.iter (fun path -> Scenario.write_telemetry s path ~meta) telemetry
+
 let fig3 ?(sizes = [ 4; 8; 12; 16; 20; 24; 28 ]) ?(vm_boot_s = 8.0)
     ?(parallel_boot = 1) ?telemetry ?profiler () =
+  if sizes = [] then invalid_arg "fig3: need at least one ring size";
   let last_size = List.nth sizes (List.length sizes - 1) in
   List.map
     (fun n ->
-      let options =
-        {
-          Scenario.default_options with
-          rf_params = params ~vm_boot_s ~parallel_boot ();
-          profiler = (if n = last_size then profiler else None);
-        }
+      let last = n = last_size in
+      let s =
+        config_run
+          ?profiler:(if last then profiler else None)
+          ~vm_boot_s ~parallel_boot (Topo_gen.ring n)
       in
-      let s = Scenario.build ~options (Topo_gen.ring n) in
-      (* Generous horizon: boots dominate. *)
-      let horizon = (vm_boot_s *. float_of_int n /. float_of_int parallel_boot) +. 120. in
-      Scenario.run_for s (Vtime.span_s horizon);
-      (match telemetry with
-      | Some path when n = last_size ->
-          Scenario.write_telemetry s path ~meta:[ ("experiment", "fig3") ]
-      | Some _ | None -> ());
+      if last then write_telemetry s telemetry [ ("experiment", "fig3") ];
       let auto =
         match Scenario.all_configured_at s with
         | Some t -> Vtime.to_s t
@@ -168,21 +187,14 @@ let breakdown_of s =
     pb_trace_dropped = Rf_obs.Tracer.dropped_events tracer;
   }
 
-let phase_breakdown ?(switches = 28) ?(vm_boot_s = 8.0) ?(parallel_boot = 1)
+let phase_run ?(switches = 28) ?(vm_boot_s = 8.0) ?(parallel_boot = 1)
     ?telemetry () =
-  let options =
-    { Scenario.default_options with rf_params = params ~vm_boot_s ~parallel_boot () }
-  in
-  let s = Scenario.build ~options (Topo_gen.ring switches) in
-  let horizon =
-    (vm_boot_s *. float_of_int switches /. float_of_int parallel_boot) +. 120.
-  in
-  Scenario.run_for s (Vtime.span_s horizon);
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path ~meta:[ ("experiment", "e1-phases") ]
-  | None -> ());
-  breakdown_of s
+  let s = config_run ~vm_boot_s ~parallel_boot (Topo_gen.ring switches) in
+  write_telemetry s telemetry [ ("experiment", "e1-phases") ];
+  s
+
+let phase_breakdown ?switches ?vm_boot_s ?parallel_boot ?telemetry () =
+  breakdown_of (phase_run ?switches ?vm_boot_s ?parallel_boot ?telemetry ())
 
 let print_phases ppf (b : phase_breakdown) =
   Format.fprintf ppf
@@ -310,10 +322,7 @@ let demo ?(vm_boot_s = 8.0) ?(horizon_s = 360.0) ?(server_city = "Glasgow")
          sent_at_mark := Host.udp_sent server;
          recv_at_mark := Host.udp_received client));
   Scenario.run_for s (Vtime.span_s horizon_s);
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path ~meta:[ ("experiment", "demo") ]
-  | None -> ());
+  write_telemetry s telemetry [ ("experiment", "demo") ];
   Host.stop_stream stream;
   (match capture with
   | Some (cap, path) -> Rf_net.Pcap.write_file cap path
@@ -501,17 +510,60 @@ let audit_run_of s ~label ~first_fault_s ~horizon_s =
     ar_fault_windows = fault_windows;
   }
 
-let audit_meta (r : audit_run) =
-  [
-    ( "first_fault_s",
-      match r.ar_first_fault_s with
-      | Some f -> Printf.sprintf "%.3f" f
-      | None -> "none" );
-    ("steady_windows", string_of_int r.ar_steady_windows);
-    ("boot_union_s", Printf.sprintf "%.3f" r.ar_boot_union_s);
-    ("fault_union_s", Printf.sprintf "%.3f" r.ar_fault_union_s);
-    ("open_at_horizon", string_of_int r.ar_open_at_end);
-  ]
+let audit_meta = function
+  | None -> []
+  | Some (r : audit_run) ->
+      [
+        ( "first_fault_s",
+          match r.ar_first_fault_s with
+          | Some f -> Printf.sprintf "%.3f" f
+          | None -> "none" );
+        ("steady_windows", string_of_int r.ar_steady_windows);
+        ("boot_union_s", Printf.sprintf "%.3f" r.ar_boot_union_s);
+        ("fault_union_s", Printf.sprintf "%.3f" r.ar_fault_union_s);
+        ("open_at_horizon", string_of_int r.ar_open_at_end);
+      ]
+
+(* The fault experiments' RPC supervision is aggressive so the whole
+   exchange fits a short run: frames sent into a dead controller park
+   after ~3.5 s instead of minutes. *)
+let supervised_rpc ~resync =
+  {
+    Rf_rpc.Rpc_client.rto = Vtime.span_s 0.5;
+    rto_max = Vtime.span_s 4.0;
+    max_retries = 3;
+    heartbeat_every = Vtime.span_s 1.0;
+    heartbeat_jitter = 0.0;
+    dead_after = 3;
+    resync;
+  }
+
+(* A fault-experiment ring with one [hNN] host per switch, so every
+   subnet is a configured prefix, 2 s VM boots and supervised RPC. *)
+let fault_ring ?profiler ?link_capacity ?(audit = false) ~seed ~switches
+    ~replicas ~parallel_boot ~resync ~faults () =
+  let topo = Topo_gen.ring switches in
+  for i = 1 to switches do
+    let name = Printf.sprintf "h%02d" i in
+    Topology.add_host topo name;
+    ignore
+      (Topology.connect topo (Topology.Host name)
+         (Topology.Switch (Int64.of_int i)))
+  done;
+  let options =
+    {
+      Scenario.default_options with
+      seed;
+      rf_params = params ~vm_boot_s:2.0 ~parallel_boot ();
+      rpc_params = supervised_rpc ~resync;
+      faults;
+      link_capacity;
+      cluster_replicas = replicas;
+      profiler;
+      audit;
+    }
+  in
+  Scenario.build ~options topo
 
 let print_audit_run ppf (r : audit_run) =
   Format.fprintf ppf
@@ -620,25 +672,18 @@ let failure_recovery ?(seed = 42) ?(switches = 6) ?(fail_at_s = 60.0)
            ~horizon_s)
     else None
   in
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path
-        ~meta:
-          ((match audit_run with
-           | Some r -> audit_meta r
-           | None -> [])
-          @ [
-            ("experiment", "failure");
-            ("fail_at_s", Printf.sprintf "%.3f" fail_at_s);
-            ("window_s", Printf.sprintf "%.3f" window_s);
-            ("window_sent", string_of_int (!sent_at_end - !sent_at_fail));
-            ("window_received", string_of_int (!recv_at_end - !recv_at_fail));
-            ( "window_lost",
-              string_of_int
-                (!sent_at_end - !sent_at_fail - (!recv_at_end - !recv_at_fail))
-            );
-          ])
-  | None -> ());
+  write_telemetry s telemetry
+    (audit_meta audit_run
+    @ [
+        ("experiment", "failure");
+        ("fail_at_s", Printf.sprintf "%.3f" fail_at_s);
+        ("window_s", Printf.sprintf "%.3f" window_s);
+        ("window_sent", string_of_int (!sent_at_end - !sent_at_fail));
+        ("window_received", string_of_int (!recv_at_end - !recv_at_fail));
+        ( "window_lost",
+          string_of_int
+            (!sent_at_end - !sent_at_fail - (!recv_at_end - !recv_at_fail)) );
+      ]);
   (* Post-failure routes must not use the interfaces facing the dead
      link. *)
   let avoid =
@@ -797,20 +842,6 @@ let restart ?(seed = 42) ?(switches = 8) ?(crash_at_s = 4.0)
   if switches < 4 then invalid_arg "restart: need a ring of >= 4";
   if not (crash_at_s < cut_at_s && cut_at_s < recover_at_s) then
     invalid_arg "restart: need crash < cut < recover";
-  (* Aggressive supervision so the whole exchange fits a short run:
-     frames sent into the dead controller park after ~3.5 s instead of
-     minutes. *)
-  let rpc_params =
-    {
-      Rf_rpc.Rpc_client.rto = Vtime.span_s 0.5;
-      rto_max = Vtime.span_s 4.0;
-      max_retries = 3;
-      heartbeat_every = Vtime.span_s 1.0;
-      heartbeat_jitter = 0.0;
-      dead_after = 3;
-      resync = true;
-    }
-  in
   (* All three runs see the same physical event — the sw2-sw3 link dies
      at [cut_at_s] — so they should all end in the same network state.
      What differs is whether the RF-controller was up to hear about it:
@@ -838,7 +869,7 @@ let restart ?(seed = 42) ?(switches = 8) ?(crash_at_s = 4.0)
         Scenario.default_options with
         seed;
         rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4 ();
-        rpc_params = { rpc_params with Rf_rpc.Rpc_client.resync };
+        rpc_params = supervised_rpc ~resync;
         faults;
         audit;
       }
@@ -855,29 +886,23 @@ let restart ?(seed = 42) ?(switches = 8) ?(crash_at_s = 4.0)
              ~horizon_s)
       else None
     in
-    (match telemetry with
-    | Some path ->
-        Scenario.write_telemetry s path
-          ~meta:
-            ((match audit_run with
-             | Some r -> audit_meta r
-             | None -> [])
-            @ [
-              ("experiment", "restart");
-              ("crash_at_s", Printf.sprintf "%.3f" crash_at_s);
-              ("recover_at_s", Printf.sprintf "%.3f" recover_at_s);
-              ("rpc_sent", string_of_int (Rf_rpc.Rpc_client.sent client));
-              ( "rpc_retx",
-                string_of_int (Rf_rpc.Rpc_client.retransmissions client) );
-              ("rpc_gave_up", string_of_int (Rf_rpc.Rpc_client.gave_up client));
-              ( "rpc_undelivered",
-                string_of_int
-                  (Rf_rpc.Rpc_client.unacked client
-                  + Rf_rpc.Rpc_server.dedup_size server) );
-              ( "rpc_handled",
-                string_of_int (Rf_rpc.Rpc_server.requests_handled server) );
-            ])
-    | None -> ());
+    write_telemetry s telemetry
+      (audit_meta audit_run
+      @ [
+          ("experiment", "restart");
+          ("crash_at_s", Printf.sprintf "%.3f" crash_at_s);
+          ("recover_at_s", Printf.sprintf "%.3f" recover_at_s);
+          ("rpc_sent", string_of_int (Rf_rpc.Rpc_client.sent client));
+          ( "rpc_retx",
+            string_of_int (Rf_rpc.Rpc_client.retransmissions client) );
+          ("rpc_gave_up", string_of_int (Rf_rpc.Rpc_client.gave_up client));
+          ( "rpc_undelivered",
+            string_of_int
+              (Rf_rpc.Rpc_client.unacked client
+              + Rf_rpc.Rpc_server.dedup_size server) );
+          ( "rpc_handled",
+            string_of_int (Rf_rpc.Rpc_server.requests_handled server) );
+        ]);
     {
       rr_label = label;
       rr_configured = Rf_system.configured_count (Scenario.rf_system s);
@@ -1292,42 +1317,39 @@ let traffic_spec ?(start_s = 20.0) ~switches ~horizon_s () =
 let traffic_link_capacity =
   { Rf_net.Link.bandwidth_bps = 10_000_000; queue_frames = 64 }
 
-(* One measured scenario run: ring + one host per switch, the given
-   fault plan, and the standard workload through the live data plane. *)
-let traffic_ring_run ?telemetry ?profiler ~label ~seed ~switches ~horizon_s
-    ~faults ~resync () =
-  let spec = traffic_spec ~switches ~horizon_s () in
-  let topo = Topo_gen.ring switches in
-  for i = 1 to switches do
-    let name = Printf.sprintf "h%02d" i in
-    Topology.add_host topo name;
-    ignore
-      (Topology.connect topo (Topology.Host name)
-         (Topology.Switch (Int64.of_int i)))
-  done;
-  let rpc_params =
-    {
-      Rf_rpc.Rpc_client.rto = Vtime.span_s 0.5;
-      rto_max = Vtime.span_s 4.0;
-      max_retries = 3;
-      heartbeat_every = Vtime.span_s 1.0;
-      heartbeat_jitter = 0.0;
-      dead_after = 3;
-      resync;
-    }
+type cluster_run = {
+  cw_traffic : traffic_run;
+  cw_replicas : int;
+  cw_digest : string;  (** {!rf_state_digest} at the end of the run *)
+  cw_elections : int;
+  cw_failovers : int;
+  cw_failover_s : float option;
+      (** most recent leaderless interval, fault to re-election *)
+  cw_leader : int option;
+  cw_epoch : int32;
+  cw_agree : bool;  (** live replicas end on the same committed log *)
+  cw_applied : int;  (** committed entries surfaced to RouteFlow *)
+  cw_reassignments : int;  (** switch sessions whose OpenFlow role flipped *)
+  cw_rejected : int;  (** mutations fenced off outside the commit path *)
+  cw_audit : audit_run option;
+}
+
+(* One measured E6/E9 run: a {!fault_ring} with 10 Mbit/s links, the
+   given fault plan, and the standard workload through the live data
+   plane. The RF-controller is replicated [replicas] ways ([1] keeps
+   the legacy single controller, so baselines go through the same
+   code). [audit_from] attaches the forwarding-state auditor; its
+   value is the first planned fault time, the steady-state upper
+   bound. [experiment] names the run in the telemetry meta line. *)
+let fault_ring_run ?telemetry ?profiler ?audit_from ~experiment ~label ~seed
+    ~switches ~replicas ~horizon_s ~traffic_start_s ~parallel_boot ~resync
+    ~faults () =
+  let spec = traffic_spec ~start_s:traffic_start_s ~switches ~horizon_s () in
+  let s =
+    fault_ring ?profiler ~link_capacity:traffic_link_capacity
+      ~audit:(audit_from <> None) ~seed ~switches ~replicas ~parallel_boot
+      ~resync ~faults ()
   in
-  let options =
-    {
-      Scenario.default_options with
-      seed;
-      rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4 ();
-      rpc_params;
-      faults;
-      link_capacity = Some traffic_link_capacity;
-      profiler;
-    }
-  in
-  let s = Scenario.build ~options topo in
   let engine = Scenario.engine s in
   let measure =
     Traffic_measure.create engine
@@ -1341,36 +1363,68 @@ let traffic_ring_run ?telemetry ?profiler ~label ~seed ~switches ~horizon_s
   ignore (Traffic_gen.start engine ~rng ~measure ~fabric spec);
   Scenario.run_for s (Vtime.span_s horizon_s);
   Traffic_measure.finalize measure;
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path
-        ~meta:
-          [
-            ("experiment", "traffic");
-            ("run", label);
-            ("flows", string_of_int (Traffic_measure.flow_count measure));
-            ("offered", string_of_int (Traffic_measure.total_offered measure));
-            ( "delivered",
-              string_of_int (Traffic_measure.total_delivered measure) );
-            ("lost", string_of_int (Traffic_measure.total_lost measure));
-            ( "disruption_s",
-              Printf.sprintf "%.3f" (Traffic_measure.disruption_seconds measure)
-            );
-          ]
-  | None -> ());
+  let audit_run =
+    Option.map
+      (fun first_fault_s ->
+        audit_run_of s ~label ~first_fault_s:(Some first_fault_s) ~horizon_s)
+      audit_from
+  in
+  write_telemetry s telemetry
+    (audit_meta audit_run
+    @ [
+        ("experiment", experiment);
+        ("run", label);
+        ("flows", string_of_int (Traffic_measure.flow_count measure));
+        ("offered", string_of_int (Traffic_measure.total_offered measure));
+        ( "delivered",
+          string_of_int (Traffic_measure.total_delivered measure) );
+        ("lost", string_of_int (Traffic_measure.total_lost measure));
+        ( "disruption_s",
+          Printf.sprintf "%.3f" (Traffic_measure.disruption_seconds measure) );
+      ]);
+  let traffic =
+    {
+      tw_label = label;
+      tw_flows = Traffic_measure.flow_count measure;
+      tw_offered = Traffic_measure.total_offered measure;
+      tw_delivered = Traffic_measure.total_delivered measure;
+      tw_lost = Traffic_measure.total_lost measure;
+      tw_disrupted_flows = Traffic_measure.disrupted_flows measure;
+      tw_window = Traffic_measure.disruption_window measure;
+      tw_disruption_s = Traffic_measure.disruption_seconds measure;
+      tw_reconverged_s = to_s_opt (Scenario.reconverged_at s);
+      tw_queue_dropped =
+        Rf_net.Network.queue_dropped_frames (Scenario.network s);
+      tw_classes = Traffic_measure.summaries measure;
+    }
+  in
+  let elections, failovers, failover_s, leader, epoch, agree, applied =
+    match Scenario.cluster s with
+    | Some cl ->
+        ( Rf_rpc.Cluster.elections cl,
+          Rf_rpc.Cluster.failovers cl,
+          Rf_rpc.Cluster.last_failover_s cl,
+          Rf_rpc.Cluster.leader cl,
+          Rf_rpc.Cluster.leader_epoch cl,
+          Rf_rpc.Cluster.converged cl,
+          Rf_rpc.Cluster.applied cl )
+    | None -> (0, 0, None, None, 0l, true, 0)
+  in
   {
-    tw_label = label;
-    tw_flows = Traffic_measure.flow_count measure;
-    tw_offered = Traffic_measure.total_offered measure;
-    tw_delivered = Traffic_measure.total_delivered measure;
-    tw_lost = Traffic_measure.total_lost measure;
-    tw_disrupted_flows = Traffic_measure.disrupted_flows measure;
-    tw_window = Traffic_measure.disruption_window measure;
-    tw_disruption_s = Traffic_measure.disruption_seconds measure;
-    tw_reconverged_s = to_s_opt (Scenario.reconverged_at s);
-    tw_queue_dropped =
-      Rf_net.Network.queue_dropped_frames (Scenario.network s);
-    tw_classes = Traffic_measure.summaries measure;
+    cw_traffic = traffic;
+    cw_replicas = replicas;
+    cw_digest = rf_state_digest s;
+    cw_elections = elections;
+    cw_failovers = failovers;
+    cw_failover_s = failover_s;
+    cw_leader = leader;
+    cw_epoch = epoch;
+    cw_agree = agree;
+    cw_applied = applied;
+    cw_reassignments =
+      Rf_routeflow.Rf_controller_app.reassignments (Scenario.rf_app s);
+    cw_rejected = Rf_system.mutations_rejected (Scenario.rf_system s);
+    cw_audit = audit_run;
   }
 
 let traffic_disruption ?(seed = 42) ?(switches = 8) ?(fail_at_s = 40.0)
@@ -1380,27 +1434,30 @@ let traffic_disruption ?(seed = 42) ?(switches = 8) ?(fail_at_s = 40.0)
   if not (crash_at_s < cut_at_s && cut_at_s < recover_at_s) then
     invalid_arg "traffic_disruption: need crash < cut < recover";
   let cut_fault at = Rf_sim.Faults.link_down ~at_s:at 2L 3L in
+  let run ?telemetry ?profiler ?(resync = true) label faults =
+    (fault_ring_run ?telemetry ?profiler ~experiment:"traffic" ~label ~seed
+       ~switches ~replicas:1 ~horizon_s ~traffic_start_s:20.0 ~parallel_boot:4
+       ~resync ~faults ())
+      .cw_traffic
+  in
   (* E3 scenario, automatic: the controller is up, hears the port-down,
      and the virtual topology reconverges on its own. *)
   let auto =
-    traffic_ring_run ?telemetry ?profiler ~label:"automatic" ~seed ~switches ~horizon_s
-      ~faults:(Rf_sim.Faults.plan [ cut_fault fail_at_s ])
-      ~resync:true ()
+    run ?telemetry ?profiler "automatic"
+      (Rf_sim.Faults.plan [ cut_fault fail_at_s ])
   in
   (* Manual baseline: the same cut, but the routing control platform is
      down across it — the operator notices and brings it back only
      [manual_response_s] later, as with hand-driven configuration. *)
   let manual =
-    traffic_ring_run ~label:"manual" ~seed ~switches ~horizon_s
-      ~faults:
-        (Rf_sim.Faults.(
-           plan
-             [
-               controller_crash ~at_s:(fail_at_s -. 2.0) ();
-               cut_fault fail_at_s;
-               controller_recover ~at_s:(fail_at_s +. manual_response_s) ();
-             ]))
-      ~resync:true ()
+    run "manual"
+      Rf_sim.Faults.(
+        plan
+          [
+            controller_crash ~at_s:(fail_at_s -. 2.0) ();
+            cut_fault fail_at_s;
+            controller_recover ~at_s:(fail_at_s +. manual_response_s) ();
+          ])
   in
   (* E4 scenario: crash + cut + restart, reconciled vs legacy RPC. *)
   let restart_faults =
@@ -1412,14 +1469,8 @@ let traffic_disruption ?(seed = 42) ?(switches = 8) ?(fail_at_s = 40.0)
           controller_recover ~at_s:recover_at_s ();
         ])
   in
-  let reconciled =
-    traffic_ring_run ~label:"reconciled" ~seed ~switches ~horizon_s
-      ~faults:restart_faults ~resync:true ()
-  in
-  let legacy =
-    traffic_ring_run ~label:"legacy" ~seed ~switches ~horizon_s
-      ~faults:restart_faults ~resync:false ()
-  in
+  let reconciled = run "reconciled" restart_faults in
+  let legacy = run ~resync:false "legacy" restart_faults in
   {
     tr_seed = seed;
     tr_switches = switches;
@@ -1594,150 +1645,6 @@ let traffic_scaling ?seed ?k ?pairs_per_host ?arrivals_per_s ?horizon_s
 
 (* --- E9: controller-cluster failover under live traffic ------------- *)
 
-type cluster_run = {
-  cw_traffic : traffic_run;
-  cw_replicas : int;
-  cw_digest : string;  (** {!rf_state_digest} at the end of the run *)
-  cw_elections : int;
-  cw_failovers : int;
-  cw_failover_s : float option;
-      (** most recent leaderless interval, fault to re-election *)
-  cw_leader : int option;
-  cw_epoch : int32;
-  cw_agree : bool;  (** live replicas end on the same committed log *)
-  cw_applied : int;  (** committed entries surfaced to RouteFlow *)
-  cw_reassignments : int;  (** switch sessions whose OpenFlow role flipped *)
-  cw_rejected : int;  (** mutations fenced off outside the commit path *)
-  cw_audit : audit_run option;
-}
-
-(* One measured scenario run like [traffic_ring_run], but with the
-   RF-controller replicated [replicas] ways ([1] keeps the legacy
-   single controller, so the baseline goes through the same code).
-   [audit_from] attaches the forwarding-state auditor; its value is
-   the first planned fault time, the steady-state upper bound. *)
-let cluster_ring_run ?telemetry ?profiler ?audit_from ~label
-    ~seed ~switches ~replicas ~horizon_s ~traffic_start_s ~parallel_boot
-    ~faults ()
-    =
-  let spec = traffic_spec ~start_s:traffic_start_s ~switches ~horizon_s () in
-  let topo = Topo_gen.ring switches in
-  for i = 1 to switches do
-    let name = Printf.sprintf "h%02d" i in
-    Topology.add_host topo name;
-    ignore
-      (Topology.connect topo (Topology.Host name)
-         (Topology.Switch (Int64.of_int i)))
-  done;
-  let rpc_params =
-    {
-      Rf_rpc.Rpc_client.rto = Vtime.span_s 0.5;
-      rto_max = Vtime.span_s 4.0;
-      max_retries = 3;
-      heartbeat_every = Vtime.span_s 1.0;
-      heartbeat_jitter = 0.0;
-      dead_after = 3;
-      resync = true;
-    }
-  in
-  let options =
-    {
-      Scenario.default_options with
-      seed;
-      rf_params = params ~vm_boot_s:2.0 ~parallel_boot ();
-      rpc_params;
-      faults;
-      link_capacity = Some traffic_link_capacity;
-      cluster_replicas = replicas;
-      profiler;
-      audit = audit_from <> None;
-    }
-  in
-  let s = Scenario.build ~options topo in
-  let engine = Scenario.engine s in
-  let measure =
-    Traffic_measure.create engine
-      ~loss_timeout_s:spec.Traffic_spec.loss_timeout_s ()
-  in
-  let fabric =
-    Traffic_gen.live_fabric measure
-      ~hosts:(Rf_net.Network.hosts (Scenario.network s))
-  in
-  let rng = Rf_sim.Rng.create (seed + 1009) in
-  ignore (Traffic_gen.start engine ~rng ~measure ~fabric spec);
-  Scenario.run_for s (Vtime.span_s horizon_s);
-  Traffic_measure.finalize measure;
-  let audit_run =
-    Option.map
-      (fun first_fault_s ->
-        audit_run_of s ~label ~first_fault_s:(Some first_fault_s) ~horizon_s)
-      audit_from
-  in
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path
-        ~meta:
-          ((match audit_run with
-           | Some r -> audit_meta r
-           | None -> [])
-          @ [
-            ("experiment", "cluster");
-            ("run", label);
-            ("flows", string_of_int (Traffic_measure.flow_count measure));
-            ("offered", string_of_int (Traffic_measure.total_offered measure));
-            ( "delivered",
-              string_of_int (Traffic_measure.total_delivered measure) );
-            ("lost", string_of_int (Traffic_measure.total_lost measure));
-            ( "disruption_s",
-              Printf.sprintf "%.3f" (Traffic_measure.disruption_seconds measure)
-            );
-          ])
-  | None -> ());
-  let traffic =
-    {
-      tw_label = label;
-      tw_flows = Traffic_measure.flow_count measure;
-      tw_offered = Traffic_measure.total_offered measure;
-      tw_delivered = Traffic_measure.total_delivered measure;
-      tw_lost = Traffic_measure.total_lost measure;
-      tw_disrupted_flows = Traffic_measure.disrupted_flows measure;
-      tw_window = Traffic_measure.disruption_window measure;
-      tw_disruption_s = Traffic_measure.disruption_seconds measure;
-      tw_reconverged_s = to_s_opt (Scenario.reconverged_at s);
-      tw_queue_dropped =
-        Rf_net.Network.queue_dropped_frames (Scenario.network s);
-      tw_classes = Traffic_measure.summaries measure;
-    }
-  in
-  let elections, failovers, failover_s, leader, epoch, agree, applied =
-    match Scenario.cluster s with
-    | Some cl ->
-        ( Rf_rpc.Cluster.elections cl,
-          Rf_rpc.Cluster.failovers cl,
-          Rf_rpc.Cluster.last_failover_s cl,
-          Rf_rpc.Cluster.leader cl,
-          Rf_rpc.Cluster.leader_epoch cl,
-          Rf_rpc.Cluster.converged cl,
-          Rf_rpc.Cluster.applied cl )
-    | None -> (0, 0, None, None, 0l, true, 0)
-  in
-  {
-    cw_traffic = traffic;
-    cw_replicas = replicas;
-    cw_digest = rf_state_digest s;
-    cw_elections = elections;
-    cw_failovers = failovers;
-    cw_failover_s = failover_s;
-    cw_leader = leader;
-    cw_epoch = epoch;
-    cw_agree = agree;
-    cw_applied = applied;
-    cw_reassignments =
-      Rf_routeflow.Rf_controller_app.reassignments (Scenario.rf_app s);
-    cw_rejected = Rf_system.mutations_rejected (Scenario.rf_system s);
-    cw_audit = audit_run;
-  }
-
 type cluster_result = {
   cf_seed : int;
   cf_switches : int;
@@ -1771,9 +1678,9 @@ let cluster_failover ?(seed = 42) ?(switches = 28) ?(replicas = 3)
      the control plane. Replica 0 later rejoins as a follower. *)
   let audit_from = if audit then Some crash_at_s else None in
   let auto =
-    cluster_ring_run ?telemetry ?profiler ?audit_from
+    fault_ring_run ?telemetry ?profiler ?audit_from ~experiment:"cluster"
       ~label:"automatic" ~seed ~switches ~replicas ~horizon_s ~traffic_start_s
-      ~parallel_boot
+      ~parallel_boot ~resync:true
       ~faults:
         Rf_sim.Faults.(
           plan
@@ -1788,8 +1695,9 @@ let cluster_failover ?(seed = 42) ?(switches = 28) ?(replicas = 3)
      down across the cut; the operator notices and restarts it only
      [manual_response_s] later, and resync reconciles from there. *)
   let legacy =
-    cluster_ring_run ?audit_from ~label:"legacy" ~seed ~switches ~replicas:1
-      ~horizon_s ~traffic_start_s ~parallel_boot
+    fault_ring_run ?audit_from ~experiment:"cluster" ~label:"legacy" ~seed
+      ~switches ~replicas:1 ~horizon_s ~traffic_start_s ~parallel_boot
+      ~resync:true
       ~faults:
         Rf_sim.Faults.(
           plan
@@ -1979,48 +1887,17 @@ type audit_result = {
    packets, so the runs stay cheap enough to fingerprint in CI. *)
 let audit_ring_run ?telemetry ~scenario ~label ~seed ~switches ~replicas
     ~resync ~faults ~first_fault_s ~horizon_s () =
-  let topo = Topo_gen.ring switches in
-  for i = 1 to switches do
-    let name = Printf.sprintf "h%02d" i in
-    Topology.add_host topo name;
-    ignore
-      (Topology.connect topo (Topology.Host name)
-         (Topology.Switch (Int64.of_int i)))
-  done;
-  let rpc_params =
-    {
-      Rf_rpc.Rpc_client.rto = Vtime.span_s 0.5;
-      rto_max = Vtime.span_s 4.0;
-      max_retries = 3;
-      heartbeat_every = Vtime.span_s 1.0;
-      heartbeat_jitter = 0.0;
-      dead_after = 3;
-      resync;
-    }
+  let s =
+    fault_ring ~audit:true ~seed ~switches ~replicas ~parallel_boot:4 ~resync
+      ~faults ()
   in
-  let options =
-    {
-      Scenario.default_options with
-      seed;
-      rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4 ();
-      rpc_params;
-      faults;
-      cluster_replicas = replicas;
-      audit = true;
-    }
-  in
-  let s = Scenario.build ~options topo in
   Scenario.run_for s (Vtime.span_s horizon_s);
   let run =
     audit_run_of s ~label ~first_fault_s:(Some first_fault_s) ~horizon_s
   in
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path
-        ~meta:
-          ([ ("experiment", "audit"); ("scenario", scenario); ("run", label) ]
-          @ audit_meta run)
-  | None -> ());
+  write_telemetry s telemetry
+    ([ ("experiment", "audit"); ("scenario", scenario); ("run", label) ]
+    @ audit_meta (Some run));
   run
 
 let audit_windows ?(seed = 42) ?(e3_switches = 6) ?(e4_switches = 8)

@@ -18,6 +18,17 @@ type fig3_row = {
   f3_manual_min : float;  (** paper model: 15 min per switch *)
 }
 
+val config_run :
+  ?profiler:Rf_obs.Profiler.t ->
+  ?horizon_s:float ->
+  vm_boot_s:float ->
+  parallel_boot:int ->
+  Rf_net.Topology.t ->
+  Scenario.t
+(** Builds and runs one autoconfiguration of the topology with
+    [vm_boot_s]-second VM boots, [parallel_boot] at a time. The default
+    horizon covers every boot plus 120 s for routing to settle. *)
+
 val fig3 :
   ?sizes:int list ->
   ?vm_boot_s:float ->
@@ -27,8 +38,8 @@ val fig3 :
   unit ->
   fig3_row list
 (** Default sizes 4, 8, ..., 28 (ring topologies, as in the paper).
-    [telemetry] writes the span/event JSONL of the largest size's run
-    to the given path. *)
+    [telemetry] writes the span/event JSONL of the last size's run to
+    the given path. Raises [Invalid_argument] on an empty size list. *)
 
 val print_fig3 : Format.formatter -> fig3_row list -> unit
 
@@ -63,6 +74,17 @@ val breakdown_of : Scenario.t -> phase_breakdown
 (** Reads the span tree of an already-run scenario. Raises
     [Invalid_argument] if no switch ever started configuring. *)
 
+val phase_run :
+  ?switches:int ->
+  ?vm_boot_s:float ->
+  ?parallel_boot:int ->
+  ?telemetry:string ->
+  unit ->
+  Scenario.t
+(** Runs one ring scenario (default: the paper's 28 switches, 8 s
+    serialized boots) and returns it for {!breakdown_of}. [telemetry]
+    additionally writes the run's span/event JSONL to the given path. *)
+
 val phase_breakdown :
   ?switches:int ->
   ?vm_boot_s:float ->
@@ -70,9 +92,7 @@ val phase_breakdown :
   ?telemetry:string ->
   unit ->
   phase_breakdown
-(** Runs one ring scenario (default: the paper's 28 switches, 8 s
-    serialized boots) and decomposes it. [telemetry] additionally
-    writes the run's span/event JSONL to the given path. *)
+(** [breakdown_of] the {!phase_run} scenario. *)
 
 val print_phases : Format.formatter -> phase_breakdown -> unit
 

@@ -506,6 +506,34 @@ let test_ingest_roundtrip_matches_live () =
   Alcotest.(check string) "completeness rule fails on drops" "FAIL"
     (Slo.verdict_string (verdict_of replayed completeness))
 
+(* Every [experiment] meta value the Experiment writers emit picks its
+   rule set; anything else is left to --experiment. *)
+let test_of_dump_meta_values () =
+  let of_meta value =
+    Option.map Analysis.name
+      (Analysis.of_dump
+         (Ingest.load_string
+            (Printf.sprintf {|{"type":"meta","experiment":"%s"}|} value)))
+  in
+  List.iter
+    (fun (value, exp) ->
+      Alcotest.(check (option string)) value (Some exp) (of_meta value))
+    [
+      ("e1-phases", "e1b");
+      ("fig3", "e1b");
+      ("demo", "e1b");
+      ("failure", "e3");
+      ("restart", "e4");
+      ("traffic", "e6");
+      ("cluster", "e9");
+      ("profile", "e10");
+      ("audit", "e12");
+    ];
+  Alcotest.(check (option string)) "unknown value" None (of_meta "e99");
+  Alcotest.(check (option string))
+    "no experiment key" None
+    (Option.map Analysis.name (Analysis.of_dump (empty_dump [])))
+
 (* --- End-to-end experiment scorecards ------------------------------ *)
 
 let test_scorecards_pass_and_deterministic () =
@@ -516,6 +544,10 @@ let test_scorecards_pass_and_deterministic () =
   List.iter
     (fun exp ->
       let dump = Analysis.run_dump exp in
+      Alcotest.(check (option string))
+        (Analysis.name exp ^ " dump maps back to its rule set")
+        (Some (Analysis.name exp))
+        (Option.map Analysis.name (Analysis.of_dump dump));
       Alcotest.(check string)
         (Analysis.name exp ^ " all green")
         "PASS"
@@ -574,6 +606,8 @@ let suite =
       test_baseline_regression_detection;
     Alcotest.test_case "ingest round trip matches the live tracer" `Quick
       test_ingest_roundtrip_matches_live;
+    Alcotest.test_case "dump meta selects the experiment rule set" `Quick
+      test_of_dump_meta_values;
     Alcotest.test_case "experiment scorecards pass and are deterministic"
       `Slow test_scorecards_pass_and_deterministic;
   ]
