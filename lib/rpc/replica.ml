@@ -37,6 +37,11 @@ type t = {
   mutable voted_for : int option;
   mutable log_rev : Rpc_msg.t list;  (** newest first *)
   mutable log_len : int;
+  mutable vote_floor : int;
+      (** log length before the last truncation, until the leader's
+          snapshot replaces the log: the entries dropped may have been
+          committed (a restarted replica's commit index is 0), so no
+          shorter candidate gets our vote meanwhile *)
   (* volatile *)
   mutable role : role;
   mutable crashed : bool;
@@ -201,6 +206,7 @@ let truncate_to_commit t =
     record t "truncate"
       (Printf.sprintf "uncommitted tail %d..%d dropped" (t.commit + 1)
          t.log_len);
+    t.vote_floor <- max t.vote_floor t.log_len;
     let rec drop n l = if n <= 0 then l else drop (n - 1) (List.tl l) in
     t.log_rev <- drop (t.log_len - t.commit) t.log_rev;
     t.log_len <- t.commit
@@ -240,7 +246,7 @@ let receive t ~src body =
           && (match t.voted_for with
              | None -> true
              | Some v -> v = el_candidate)
-          && Int32.to_int el_last >= t.log_len
+          && Int32.to_int el_last >= max t.log_len t.vote_floor
         in
         if grant then begin
           t.voted_for <- Some el_candidate;
@@ -311,6 +317,7 @@ let receive t ~src body =
         if t.role = Follower && t.leader = Some src then begin
           t.log_rev <- List.rev msgs;
           t.log_len <- List.length msgs;
+          t.vote_floor <- 0;
           if t.applied > t.log_len then t.applied <- t.log_len;
           ack_prefix t src;
           apply_committed t
@@ -372,6 +379,7 @@ let create engine ~rng cfg ~send =
       voted_for = None;
       log_rev = [];
       log_len = 0;
+      vote_floor = 0;
       role = Follower;
       crashed = false;
       leader = None;

@@ -15,7 +15,10 @@
     every committed entry (commit requires a majority, and majorities
     intersect). When a replica first accepts a leader for an epoch it
     truncates its uncommitted tail — entries an earlier leader failed
-    to commit — and resyncs from the new leader's snapshot.
+    to commit — and resyncs from the new leader's snapshot. Until that
+    snapshot arrives it still refuses candidates shorter than its log
+    was before the truncation: after a restart its commit index is 0,
+    so the dropped tail may hold committed entries.
 
     The replica is transport-agnostic: it emits protocol messages
     through the [send] callback and consumes them via {!receive}; the

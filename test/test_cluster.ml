@@ -345,6 +345,28 @@ let convergence_prop =
       | d :: rest -> List.for_all (String.equal d) rest && o.co_applied >= 15
       | [] -> false)
 
+(* Counterexamples qcheck found: a restarted replica (commit index 0)
+   accepts the leader, truncates its whole log, and before the leader's
+   snapshot arrives votes for a stale candidate, which then leads
+   without entries the cluster had committed. *)
+let test_truncated_voter_refuses_stale_candidate () =
+  List.iter
+    (fun input ->
+      let o = run_chaos input in
+      check (print_chaos input ^ " reconverged") true o.co_converged;
+      checki (print_chaos input ^ " nothing pending") 0 o.co_pending)
+    [
+      (9516, [ Partition 1; Crash 2 ]);
+      (5276, [ Partition 1; Crash 2; Restart 1; Restart 0 ]);
+      ( 2441,
+        [ Restart 1; Restart 0; Restart 0; Restart 2; Partition 1; Crash 2 ]
+      );
+      ( 8429,
+        [
+          Restart 2; Restart 2; Heal; Partition 1; Crash 2; Restart 2; Crash 2;
+        ] );
+    ]
+
 let determinism_prop =
   prop ~count:20 "same seed and schedule replay bit-identically" gen_chaos
     print_chaos (fun input ->
@@ -374,5 +396,7 @@ let suite =
       test_scenario_failover_reassigns_switches;
     election_safety_prop;
     convergence_prop;
+    Alcotest.test_case "truncated voter refuses a stale candidate" `Quick
+      test_truncated_voter_refuses_stale_candidate;
     determinism_prop;
   ]
