@@ -269,8 +269,6 @@ let micro_tests () =
     match Packet.parse sample_udp_frame with Ok p -> p | Error e -> failwith e
   in
   let key = Rf_openflow.Of_match.key_of_packet ~in_port:1 parsed_frame in
-  let pkt_cursor = Packet.Cursor.create () in
-  let fm_cursor = Rf_openflow.Of_codec.Flow_mod_cursor.create () in
   let rib = Rf_routing.Rib.create () in
   let churn_route =
     {
@@ -299,22 +297,11 @@ let micro_tests () =
     Test.make ~name:"flow_table_lookup_1k_linear"
       (Staged.stage (fun () ->
            ignore (Rf_net.Flow_table.lookup_linear table key)));
-    Test.make ~name:"of_flow_mod_decode"
-      (Staged.stage (fun () ->
-           if
-             not
-               (Rf_openflow.Of_codec.Flow_mod_cursor.decode fm_cursor
-                  sample_flow_mod_wire)
-           then failwith "of_flow_mod_decode: reject"));
     Test.make ~name:"of_flow_mod_decode_alloc"
       (Staged.stage (fun () ->
            match Rf_openflow.Of_codec.of_wire sample_flow_mod_wire with
            | Ok _ -> ()
            | Error e -> failwith e));
-    Test.make ~name:"packet_parse_udp_1200B"
-      (Staged.stage (fun () ->
-           if not (Packet.Cursor.parse_udp pkt_cursor sample_udp_frame) then
-             failwith "packet_parse_udp: reject"));
     Test.make ~name:"packet_parse_udp_1200B_alloc"
       (Staged.stage (fun () ->
            match Packet.parse sample_udp_frame with

@@ -73,13 +73,6 @@ let pop_entry h =
     root
   end
 
-let pop h =
-  match pop_entry h with
-  | None -> None
-  | Some e -> Some (e.time, e.value)
-
-let peek_time h = if h.len = 0 then None else Some (get h 0).time
-
 let min_time h =
   if h.len = 0 then invalid_arg "Event_heap.min_time: empty heap"
   else (get h 0).time
@@ -87,7 +80,3 @@ let min_time h =
 let pushes h = h.next_seq
 
 let peak h = h.peak
-
-let clear h =
-  Array.fill h.arr 0 h.len None;
-  h.len <- 0

@@ -18,19 +18,13 @@ val size : 'a t -> int
 val push : 'a t -> Vtime.t -> 'a -> unit
 (** [push h time v] inserts [v] with priority [time]. *)
 
-val pop : 'a t -> (Vtime.t * 'a) option
-(** Removes and returns the earliest event, or [None] if empty. *)
-
 val pop_entry : 'a t -> 'a entry option
-(** Like [pop] but returns the stored entry without rebuilding a
-    tuple — the allocation-free form the engine dispatch loop uses. *)
-
-val peek_time : 'a t -> Vtime.t option
-(** Time of the earliest event without removing it. *)
+(** Removes and returns the earliest entry, or [None] if empty. The
+    stored entry is returned as is, so popping allocates nothing. *)
 
 val min_time : 'a t -> Vtime.t
-(** Allocation-free [peek_time]; raises [Invalid_argument] on an
-    empty heap — check {!is_empty} first. *)
+(** Time of the earliest entry without removing it; raises
+    [Invalid_argument] on an empty heap — check {!is_empty} first. *)
 
 val pushes : 'a t -> int
 (** Cumulative number of [push]es over the heap's lifetime (the
@@ -41,5 +35,3 @@ val peak : 'a t -> int
 (** Maximum size ever reached (tracked at push, so it is exact even
     between pops) — profilers report it as the heap's high-water
     mark. *)
-
-val clear : 'a t -> unit

@@ -43,9 +43,9 @@ let test_heap_ordering () =
   List.iteri (fun i s -> Event_heap.push h (Vtime.of_s s) i) times;
   let order = ref [] in
   let rec drain () =
-    match Event_heap.pop h with
-    | Some (t, _) ->
-        order := Vtime.to_s t :: !order;
+    match Event_heap.pop_entry h with
+    | Some e ->
+        order := Vtime.to_s e.Event_heap.time :: !order;
         drain ()
     | None -> ()
   in
@@ -62,9 +62,9 @@ let test_heap_fifo_ties () =
   done;
   let out = ref [] in
   let rec drain () =
-    match Event_heap.pop h with
-    | Some (_, v) ->
-        out := v :: !out;
+    match Event_heap.pop_entry h with
+    | Some e ->
+        out := e.Event_heap.value :: !out;
         drain ()
     | None -> ()
   in
@@ -79,11 +79,13 @@ let test_heap_grows () =
     Event_heap.push h (Vtime.of_s (float_of_int (999 - i))) i
   done;
   Alcotest.(check int) "size" 1000 (Event_heap.size h);
-  (match Event_heap.peek_time h with
-  | Some t -> Alcotest.(check (float 1e-9)) "peek min" 0.0 (Vtime.to_s t)
-  | None -> Alcotest.fail "empty");
-  Event_heap.clear h;
-  Alcotest.(check bool) "cleared" true (Event_heap.is_empty h)
+  Alcotest.(check (float 1e-9))
+    "peek min" 0.0
+    (Vtime.to_s (Event_heap.min_time h));
+  while Event_heap.pop_entry h <> None do
+    ()
+  done;
+  Alcotest.(check bool) "drained" true (Event_heap.is_empty h)
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"event_heap pops in nondecreasing time order"
@@ -93,9 +95,10 @@ let prop_heap_sorted =
       let h = Event_heap.create () in
       List.iteri (fun i s -> Event_heap.push h (Vtime.of_s s) i) times;
       let rec drain last acc =
-        match Event_heap.pop h with
+        match Event_heap.pop_entry h with
         | None -> acc
-        | Some (t, _) ->
+        | Some e ->
+            let t = e.Event_heap.time in
             let ok = Vtime.compare last t <= 0 in
             drain t (acc && ok)
       in
