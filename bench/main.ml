@@ -587,8 +587,10 @@ let all_sections =
 let () =
   (* argv: [section] [--json [PATH]] [--baseline PATH]
      [--save-baseline PATH]. All three apply to the micro suite;
-     --json defaults to BENCH_6.json, --baseline diffs the run against
-     a saved rfauto-baseline-v1 file and exits 3 on regression,
+     --json defaults to the git-ignored bench-micro.json, so a bare run
+     never overwrites a committed BENCH_*.json record; --baseline diffs
+     the run against a saved rfauto-baseline-v1 file and exits 3 on
+     regression,
      --save-baseline refreshes that file. *)
   let json_out = ref None in
   let baseline = ref None in
@@ -607,7 +609,7 @@ let () =
             json_out := Some Sys.argv.(i + 1);
             parse (i + 2))
           else (
-            json_out := Some "BENCH_6.json";
+            json_out := Some "bench-micro.json";
             parse (i + 1))
       | "--baseline" when i + 1 < Array.length Sys.argv ->
           baseline := Some Sys.argv.(i + 1);

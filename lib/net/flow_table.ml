@@ -18,38 +18,64 @@ type entry = {
 
 type removal_reason = Expired_idle | Expired_hard | Deleted
 
+(* Table order: priority descending, then installation sequence
+   ascending. *)
+module Order = Map.Make (struct
+  type t = int * int  (* (priority, seq) *)
+
+  let compare ((pa, sa) : t) (pb, sb) =
+    if pa <> pb then Int.compare pb pa else Int.compare sa sb
+end)
+
 (* Lookup index: entries partitioned by wildcard signature (which
    fields are exact, plus the two prefix lengths). Within a signature
    every entry constrains the same projection of the key, so the bucket
-   is an exact-match hash table from projected key to the best (first
-   in table order) entry for that projection. A lookup probes one hash
-   table per distinct signature instead of scanning every entry. *)
+   is an exact-match hash table from projected key to that key's
+   entries in table order; the head is the key's winner. A lookup
+   probes one hash table per distinct signature instead of scanning
+   every entry. Two entries share a signature and projected key exactly
+   when their matches are equal, so the same table also finds the
+   identical (match, priority) entry an Add replaces. *)
 type bucket = {
   b_mask : int;  (* presence bits for the ten scalar fields *)
   b_src : int;  (* nw_src prefix length; -1 = wildcarded *)
   b_dst : int;
-  b_tbl : (Of_match.key, entry) Hashtbl.t;
+  b_tbl : (Of_match.key, entry list) Hashtbl.t;
 }
 
 type t = {
-  mutable entries : entry list;
+  mutable order : entry Order.t;
+  mutable listed : entry list option;  (* [order] as a list, cached *)
+  mutable buckets : bucket list;  (* kept current; none is empty *)
+  mutable size : int;
+  mutable timed : int;  (* entries with a nonzero idle or hard timeout *)
   capacity : int;
   mutable next_seq : int;
-  mutable index : bucket list option;  (* None = stale, rebuilt lazily *)
 }
-(* Entries kept sorted by priority descending; stable within equal
-   priority (insertion order, i.e. [e_seq] ascending). Mutations
-   invalidate [index]; [lookup] rebuilds it on demand. *)
 
 let create ?(capacity = 65536) () =
-  { entries = []; capacity; next_seq = 0; index = None }
+  {
+    order = Order.empty;
+    listed = None;
+    buckets = [];
+    size = 0;
+    timed = 0;
+    capacity;
+    next_seq = 0;
+  }
 
-let size t = List.length t.entries
+let size t = t.size
 
-let entries t = t.entries
+let entries t =
+  match t.listed with
+  | Some l -> l
+  | None ->
+      let l = Order.fold (fun _ e acc -> e :: acc) t.order [] |> List.rev in
+      t.listed <- Some l;
+      l
 
 let lookup_linear t key =
-  List.find_opt (fun e -> Of_match.matches e.e_match key) t.entries
+  List.find_opt (fun e -> Of_match.matches e.e_match key) (entries t)
 
 let bit_in_port = 1 lsl 0
 
@@ -132,21 +158,23 @@ let key_of_match (m : Of_match.t) =
     tp_dst = Option.value m.m_tp_dst ~default:0;
   }
 
+let signature_of (m : Of_match.t) =
+  (mask_of_match m, prefix_len m.Of_match.m_nw_src, prefix_len m.Of_match.m_nw_dst)
+
+let find_bucket buckets (mask, src, dst) =
+  List.find_opt (fun b -> b.b_mask = mask && b.b_src = src && b.b_dst = dst) buckets
+
+(* Full rebuild of the index from the table order: the reference the
+   incrementally maintained [t.buckets] is checked against. *)
 let rebuild t =
   let buckets = ref [] in
-  (* [t.entries] is already (priority desc, seq asc): the first entry
+  (* [entries t] is already (priority desc, seq asc): the first entry
      stored for a projected key is the bucket's winner. *)
   List.iter
     (fun e ->
-      let mask = mask_of_match e.e_match in
-      let src = prefix_len e.e_match.Of_match.m_nw_src in
-      let dst = prefix_len e.e_match.Of_match.m_nw_dst in
+      let ((mask, src, dst) as sg) = signature_of e.e_match in
       let b =
-        match
-          List.find_opt
-            (fun b -> b.b_mask = mask && b.b_src = src && b.b_dst = dst)
-            !buckets
-        with
+        match find_bucket !buckets sg with
         | Some b -> b
         | None ->
             let b =
@@ -156,24 +184,47 @@ let rebuild t =
             b
       in
       let pk = key_of_match e.e_match in
-      if not (Hashtbl.mem b.b_tbl pk) then Hashtbl.add b.b_tbl pk e)
-    t.entries;
-  let index = List.rev !buckets in
-  t.index <- Some index;
-  index
+      if not (Hashtbl.mem b.b_tbl pk) then Hashtbl.add b.b_tbl pk [ e ])
+    (entries t);
+  List.rev !buckets
+
+let index_consistent t =
+  let fresh = rebuild t in
+  let winners_agree b =
+    match find_bucket t.buckets (b.b_mask, b.b_src, b.b_dst) with
+    | None -> false
+    | Some live ->
+        Hashtbl.length live.b_tbl = Hashtbl.length b.b_tbl
+        && Hashtbl.fold
+             (fun pk fresh_list ok ->
+               ok
+               &&
+               match (Hashtbl.find_opt live.b_tbl pk, fresh_list) with
+               | Some (w :: _), [ e ] -> w == e
+               | _ -> false)
+             b.b_tbl true
+  in
+  let listed =
+    List.fold_left
+      (fun n b -> Hashtbl.fold (fun _ l n -> n + List.length l) b.b_tbl n)
+      0 t.buckets
+  in
+  List.length fresh = List.length t.buckets
+  && List.for_all winners_agree fresh
+  && listed = t.size
+  && t.size = List.length (entries t)
 
 (* Highest priority across buckets wins; within equal priority the
    earliest-installed entry ([e_seq]) — exactly the entry the linear
    scan over the sorted list would find first. *)
 let lookup t key =
-  let buckets = match t.index with Some i -> i | None -> rebuild t in
   let rec go best = function
     | [] -> best
     | b :: rest ->
         let best =
           match Hashtbl.find_opt b.b_tbl (project b key) with
-          | None -> best
-          | Some e -> (
+          | None | Some [] -> best
+          | Some (e :: _) -> (
               match best with
               | Some be
                 when be.e_priority > e.e_priority
@@ -183,21 +234,71 @@ let lookup t key =
         in
         go best rest
   in
-  go None buckets
+  go None t.buckets
 
 let account e ~now ~bytes =
   e.e_packets <- Int64.succ e.e_packets;
   e.e_bytes <- Int64.add e.e_bytes (Int64.of_int bytes);
   e.e_last_used <- now
 
-let insert_sorted t entry =
-  let rec go = function
-    | [] -> [ entry ]
-    | e :: rest ->
-        if entry.e_priority > e.e_priority then entry :: e :: rest
-        else e :: go rest
+let is_timed e = e.e_idle_timeout > 0 || e.e_hard_timeout > 0
+
+let before a b =
+  a.e_priority > b.e_priority || (a.e_priority = b.e_priority && a.e_seq < b.e_seq)
+
+let insert t e =
+  t.order <- Order.add (e.e_priority, e.e_seq) e t.order;
+  t.listed <- None;
+  t.size <- t.size + 1;
+  if is_timed e then t.timed <- t.timed + 1;
+  let ((mask, src, dst) as sg) = signature_of e.e_match in
+  let b =
+    match find_bucket t.buckets sg with
+    | Some b -> b
+    | None ->
+        let b =
+          { b_mask = mask; b_src = src; b_dst = dst; b_tbl = Hashtbl.create 64 }
+        in
+        t.buckets <- t.buckets @ [ b ];
+        b
   in
-  t.entries <- go t.entries
+  let pk = key_of_match e.e_match in
+  let rec place = function
+    | [] -> [ e ]
+    | x :: rest as l -> if before e x then e :: l else x :: place rest
+  in
+  Hashtbl.replace b.b_tbl pk
+    (place (Option.value (Hashtbl.find_opt b.b_tbl pk) ~default:[]))
+
+(* Removing a key's winner promotes the next entry for that key; a
+   bucket left empty is dropped so lookups never probe it. *)
+let remove t e =
+  t.order <- Order.remove (e.e_priority, e.e_seq) t.order;
+  t.listed <- None;
+  t.size <- t.size - 1;
+  if is_timed e then t.timed <- t.timed - 1;
+  match find_bucket t.buckets (signature_of e.e_match) with
+  | None -> ()
+  | Some b ->
+      let pk = key_of_match e.e_match in
+      (match Hashtbl.find_opt b.b_tbl pk with
+      | None -> ()
+      | Some l -> (
+          match List.filter (fun x -> x != e) l with
+          | [] -> Hashtbl.remove b.b_tbl pk
+          | rest -> Hashtbl.replace b.b_tbl pk rest));
+      if Hashtbl.length b.b_tbl = 0 then
+        t.buckets <- List.filter (fun x -> x != b) t.buckets
+
+(* The entry with exactly this match and priority; at most one exists,
+   since Add replaces it. *)
+let find_identical t (m : Of_match.t) priority =
+  match find_bucket t.buckets (signature_of m) with
+  | None -> None
+  | Some b -> (
+      match Hashtbl.find_opt b.b_tbl (key_of_match m) with
+      | None -> None
+      | Some l -> List.find_opt (fun e -> e.e_priority = priority) l)
 
 let entry_outputs_to port e =
   List.exists
@@ -210,32 +311,19 @@ let entry_outputs_to port e =
           false)
     e.e_actions
 
-let matches_for_delete ~strict (fm : Of_msg.flow_mod) e =
-  let match_ok =
-    if strict then
-      Of_match.equal fm.fm_match e.e_match && fm.fm_priority = e.e_priority
-    else Of_match.subsumes fm.fm_match e.e_match
-  in
-  let out_port_ok =
-    match fm.fm_out_port with
-    | None -> true
-    | Some port -> entry_outputs_to port e
-  in
-  match_ok && out_port_ok
+let out_port_ok (fm : Of_msg.flow_mod) e =
+  match fm.fm_out_port with None -> true | Some port -> entry_outputs_to port e
 
 let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
-  t.index <- None;
   match fm.fm_command with
   | Of_msg.Add ->
-      let identical e =
-        Of_match.equal fm.fm_match e.e_match && fm.fm_priority = e.e_priority
-      in
-      let without = List.filter (fun e -> not (identical e)) t.entries in
-      if List.length without >= t.capacity then Error "all tables full"
+      let identical = find_identical t fm.fm_match fm.fm_priority in
+      let others = if identical = None then t.size else t.size - 1 in
+      if others >= t.capacity then Error "all tables full"
       else begin
-        t.entries <- without;
+        Option.iter (remove t) identical;
         t.next_seq <- t.next_seq + 1;
-        insert_sorted t
+        insert t
           {
             e_match = fm.fm_match;
             e_priority = fm.fm_priority;
@@ -253,62 +341,61 @@ let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
         Ok []
       end
   | Of_msg.Modify | Of_msg.Modify_strict ->
-      let strict = fm.fm_command = Of_msg.Modify_strict in
-      let touched = ref false in
-      List.iter
-        (fun e ->
-          let hit =
-            if strict then
-              Of_match.equal fm.fm_match e.e_match && fm.fm_priority = e.e_priority
-            else Of_match.subsumes fm.fm_match e.e_match
-          in
-          if hit then begin
-            e.e_actions <- fm.fm_actions;
-            touched := true
-          end)
-        t.entries;
-      if !touched then Ok []
+      let hits =
+        if fm.fm_command = Of_msg.Modify_strict then
+          Option.to_list (find_identical t fm.fm_match fm.fm_priority)
+        else
+          List.filter (fun e -> Of_match.subsumes fm.fm_match e.e_match) (entries t)
+      in
+      if hits <> [] then begin
+        List.iter (fun e -> e.e_actions <- fm.fm_actions) hits;
+        Ok []
+      end
       else
         (* OF 1.0: a modify that matches nothing behaves as an add. *)
         apply_flow_mod t ~now { fm with fm_command = Of_msg.Add }
   | Of_msg.Delete | Of_msg.Delete_strict ->
-      let strict = fm.fm_command = Of_msg.Delete_strict in
-      let removed, kept =
-        List.partition (matches_for_delete ~strict fm) t.entries
+      let removed =
+        if fm.fm_command = Of_msg.Delete_strict then
+          Option.to_list (find_identical t fm.fm_match fm.fm_priority)
+          |> List.filter (out_port_ok fm)
+        else
+          List.filter
+            (fun e -> Of_match.subsumes fm.fm_match e.e_match && out_port_ok fm e)
+            (entries t)
       in
-      t.entries <- kept;
+      List.iter (remove t) removed;
       Ok removed
 
 let expire t ~now =
-  let expired e =
-    let age_since from limit =
-      limit > 0
-      && Rf_sim.Vtime.(add from (Rf_sim.Vtime.span_s (float_of_int limit)) <= now)
+  if t.timed = 0 then []
+  else begin
+    let expired e =
+      let age_since from limit =
+        limit > 0
+        && Rf_sim.Vtime.(add from (Rf_sim.Vtime.span_s (float_of_int limit)) <= now)
+      in
+      if age_since e.e_installed e.e_hard_timeout then Some Expired_hard
+      else if age_since e.e_last_used e.e_idle_timeout then Some Expired_idle
+      else None
     in
-    if age_since e.e_installed e.e_hard_timeout then Some Expired_hard
-    else if age_since e.e_last_used e.e_idle_timeout then Some Expired_idle
-    else None
-  in
-  let gone, kept =
-    List.fold_left
-      (fun (gone, kept) e ->
-        match expired e with
-        | Some reason -> ((e, reason) :: gone, kept)
-        | None -> (gone, e :: kept))
-      ([], []) t.entries
-  in
-  t.entries <- List.rev kept;
-  if gone <> [] then t.index <- None;
-  (* Canonical eviction order, independent of insertion history: higher
-     priority first, then lowest cookie, with table order as the final
-     (stable) tie-break. Keeps the Flow_removed sequence deterministic
-     when several entries expire at the same vtime. *)
-  List.stable_sort
-    (fun ((a : entry), _) ((b : entry), _) ->
-      match compare b.e_priority a.e_priority with
-      | 0 -> Int64.compare a.e_cookie b.e_cookie
-      | c -> c)
-    (List.rev gone)
+    let gone =
+      List.filter_map
+        (fun e -> Option.map (fun reason -> (e, reason)) (expired e))
+        (entries t)
+    in
+    List.iter (fun (e, _) -> remove t e) gone;
+    (* Canonical eviction order, independent of insertion history: higher
+       priority first, then lowest cookie, with table order as the final
+       (stable) tie-break. Keeps the Flow_removed sequence deterministic
+       when several entries expire at the same vtime. *)
+    List.stable_sort
+      (fun ((a : entry), _) ((b : entry), _) ->
+        match compare b.e_priority a.e_priority with
+        | 0 -> Int64.compare a.e_cookie b.e_cookie
+        | c -> c)
+      gone
+  end
 
 let stats t ~match_ ~out_port ~now =
   List.filter_map
@@ -331,4 +418,4 @@ let stats t ~match_ ~out_port ~now =
             fs_actions = e.e_actions;
           }
       else None)
-    t.entries
+    (entries t)

@@ -31,21 +31,30 @@ val create : ?capacity:int -> unit -> t
     "all tables full" error, as a real switch would. *)
 
 val size : t -> int
+(** Constant time: a counter kept by every add and removal. *)
 
 val entries : t -> entry list
 (** Priority-descending, then insertion order. *)
 
 val lookup : t -> Of_match.key -> entry option
 (** Highest-priority matching entry (insertion order breaks ties).
-    Served from a lazily rebuilt index that partitions entries by
-    wildcard signature into exact-match hash buckets, so steady-state
-    cost is one hash probe per distinct signature rather than a scan
-    of every entry. Does not touch counters; callers account
+    Served from an index that partitions entries by wildcard signature
+    into exact-match hash buckets, so steady-state cost is one hash
+    probe per distinct signature rather than a scan of every entry.
+    Adds, deletes and expiry keep the index current: removing a key's
+    winner promotes the next entry for that key, and a bucket that
+    empties is dropped. Does not touch counters; callers account
     explicitly. *)
 
 val lookup_linear : t -> Of_match.key -> entry option
 (** The original linear scan over the priority-sorted entry list; the
     reference oracle for {!lookup} — both must agree on every key. *)
+
+val index_consistent : t -> bool
+(** Rebuilds the lookup index from scratch out of {!entries} and checks
+    that the incrementally maintained one has the same buckets and the
+    same winner for every key, and that {!size} counts every entry. The
+    reference oracle for the index maintenance. *)
 
 val account : entry -> now:Rf_sim.Vtime.t -> bytes:int -> unit
 
@@ -53,13 +62,16 @@ val apply_flow_mod :
   t -> now:Rf_sim.Vtime.t -> Of_msg.flow_mod -> (entry list, string) result
 (** Returns the entries removed by a delete command ([] for add and
     modify). Add with an existing identical (match, priority) entry
-    replaces it, resetting counters. *)
+    replaces it, resetting counters; that entry, and the target of the
+    strict variants, is found through the index rather than a scan. *)
 
 val expire : t -> now:Rf_sim.Vtime.t -> (entry * removal_reason) list
 (** Removes and returns timed-out entries in canonical eviction order:
     priority descending, then cookie ascending, then table order — so
     the Flow_removed sequence is deterministic even when several
-    entries expire at the same vtime regardless of install order. *)
+    entries expire at the same vtime regardless of install order.
+    Returns [[]] at once when no entry carries a timeout (RouteFlow's
+    flows are permanent); otherwise scans every entry. *)
 
 val stats :
   t -> match_:Of_match.t -> out_port:Of_port.t option -> now:Rf_sim.Vtime.t ->

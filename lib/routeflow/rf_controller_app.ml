@@ -98,26 +98,31 @@ let flow_mod_of_route ~add (fr : Vm.flow_route) =
       ]
   else Of_msg.flow_delete ~strict:true ~priority (match_of_route fr)
 
+(* One sorted merge of the installed list against the new one (both
+   sorted and deduplicated by [Vm.compare_flow]): stale entries come
+   out in installed order and fresh ones in [flows] order. *)
 let sync_flows t ~dpid flows =
   match Hashtbl.find_opt t.switches dpid with
   | None -> ()
   | Some sw ->
-      let stale =
-        List.filter (fun f -> not (List.mem f flows)) sw.installed
+      let send ~add f =
+        t.flow_mods <- t.flow_mods + 1;
+        Of_conn.flow_mod sw.conn (flow_mod_of_route ~add f)
       in
-      let fresh =
-        List.filter (fun f -> not (List.mem f sw.installed)) flows
+      let rec diff stale fresh installed wanted =
+        match (installed, wanted) with
+        | [], [] -> (List.rev stale, List.rev fresh)
+        | i :: is, [] -> diff (i :: stale) fresh is []
+        | [], w :: ws -> diff stale (w :: fresh) [] ws
+        | i :: is, w :: ws ->
+            let c = Vm.compare_flow i w in
+            if c < 0 then diff (i :: stale) fresh is wanted
+            else if c > 0 then diff stale (w :: fresh) installed ws
+            else diff stale fresh is ws
       in
-      List.iter
-        (fun f ->
-          t.flow_mods <- t.flow_mods + 1;
-          Of_conn.flow_mod sw.conn (flow_mod_of_route ~add:false f))
-        stale;
-      List.iter
-        (fun f ->
-          t.flow_mods <- t.flow_mods + 1;
-          Of_conn.flow_mod sw.conn (flow_mod_of_route ~add:true f))
-        fresh;
+      let stale, fresh = diff [] [] sw.installed flows in
+      List.iter (send ~add:false) stale;
+      List.iter (send ~add:true) fresh;
       sw.installed <- flows
 
 (* Failover reassignment: flip every switch session's OpenFlow role.

@@ -21,8 +21,13 @@ val connected_switches : t -> int64 list
 
 val sync_flows : t -> dpid:int64 -> Vm.flow_route list -> unit
 (** Diffs against what is already installed: deletes stale entries
-    (strict), adds new ones. Route-prefix priority grows with prefix
-    length so host routes beat subnet routes. *)
+    (strict, in installed order), then adds new ones (in the given
+    order). Route-prefix priority grows with prefix length so host
+    routes beat subnet routes.
+
+    Precondition: the list is sorted and deduplicated by
+    {!Vm.compare_flow}, as {!Vm.flow_routes} is. The installed list it
+    replaces then is too, so the diff is one linear merge. *)
 
 val set_master : t -> bool -> unit
 (** Cluster failover hook: flips every switch session's OpenFlow role

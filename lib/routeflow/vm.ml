@@ -10,6 +10,25 @@ type flow_route = {
   fr_dst_mac : Mac.t;
 }
 
+let compare_flow a b =
+  match Ipv4_addr.Prefix.compare a.fr_prefix b.fr_prefix with
+  | 0 -> (
+      match Int.compare a.fr_port b.fr_port with
+      | 0 -> (
+          match Mac.compare a.fr_src_mac b.fr_src_mac with
+          | 0 -> Mac.compare a.fr_dst_mac b.fr_dst_mac
+          | c -> c)
+      | c -> c)
+  | c -> c
+
+module Flow_map = Map.Make (struct
+  type t = flow_route
+
+  let compare = compare_flow
+end)
+
+module Prefix_map = Map.Make (Ipv4_addr.Prefix)
+
 type t = {
   engine : Rf_sim.Engine.t;
   dpid : int64;
@@ -31,6 +50,21 @@ type t = {
   mutable on_flows_changed : unit -> unit;
   mutable flow_listeners : (unit -> unit) list;  (** extra observers *)
   mutable flows_dirty : bool;
+  (* Incremental export: prefixes whose selected route changed since
+     the last export, or [dirty_all] after an ARP or address change,
+     which can move the resolution of every route. *)
+  dirty_prefixes : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
+  mutable dirty_all : bool;
+  (* Per selected prefix, the flows it exports, sorted (many host flows
+     for a connected route, at most one otherwise). *)
+  slots : (Ipv4_addr.Prefix.t, flow_route list) Hashtbl.t;
+  mutable exported : int Flow_map.t;  (* flow -> contributing slots *)
+  (* Per prefix whose next hop is unresolved, the (port, next hop) that
+     every export ARPs for. *)
+  mutable arp_wanted : (int * Ipv4_addr.t) Prefix_map.t;
+  (* Statics resolved through the RIB (no interface): any RIB change
+     can move them, so every export re-resolves them. *)
+  recursive : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
   mutable slow_forwarded : int;
   m_slow_path : Rf_obs.Metrics.counter;
   m_flow_exports : Rf_obs.Metrics.counter;
@@ -70,11 +104,6 @@ let config_file t name = Hashtbl.find_opt t.configs name
 
 (* --- flow export --------------------------------------------------- *)
 
-let compare_flow a b =
-  match Ipv4_addr.Prefix.compare a.fr_prefix b.fr_prefix with
-  | 0 -> Stdlib.compare (a.fr_port, a.fr_src_mac, a.fr_dst_mac) (b.fr_port, b.fr_src_mac, b.fr_dst_mac)
-  | c -> c
-
 let port_of_iface_name t name =
   let result = ref None in
   Array.iteri
@@ -105,51 +134,124 @@ let resolve_route t (r : Rib.route) =
             Option.map (fun p -> (p, Some nh)) (port_of_iface_name t r_iface)
         | Some _ | None -> None)
 
-let compute_flows t =
-  let flows = ref [] in
-  let add fr = flows := fr :: !flows in
-  List.iter
-    (fun (r : Rib.route) ->
-      match r.r_proto with
-      | Rib.Connected -> (
-          match port_of_iface_name t r.r_iface with
-          | None -> ()
-          | Some port ->
-              let ifc = nic t port in
-              Hashtbl.iter
-                (fun (p, ip) mac ->
-                  if
-                    p = port
-                    && Ipv4_addr.Prefix.mem ip r.r_prefix
-                    && not (Ipv4_addr.equal ip (Iface.ip ifc))
-                  then
-                    add
-                      {
-                        fr_prefix = Ipv4_addr.Prefix.make ip 32;
-                        fr_port = port;
-                        fr_src_mac = Iface.mac ifc;
-                        fr_dst_mac = mac;
-                      })
-                t.arp)
-      | Rib.Static | Rib.Ospf | Rib.Rip | Rib.Bgp -> (
-          match resolve_route t r with
-          | Some (port, Some nh) -> (
-              match Hashtbl.find_opt t.arp (port, nh) with
-              | Some mac ->
-                  add
-                    {
-                      fr_prefix = r.r_prefix;
-                      fr_port = port;
-                      fr_src_mac = Iface.mac (nic t port);
-                      fr_dst_mac = mac;
-                    }
-              | None ->
-                  (* Resolve the next hop over the virtual link; the
-                     export re-runs when the reply is learned. *)
-                  send_arp_request t port nh)
-          | Some (_, None) | None -> ()))
-    (Rib.selected (rib t));
-  List.sort_uniq compare_flow !flows
+(* What one selected route exports: its flows, and the (port, next
+   hop) to ARP for when that next hop is not resolved yet. *)
+let route_exports t (r : Rib.route) =
+  match r.r_proto with
+  | Rib.Connected -> (
+      match port_of_iface_name t r.r_iface with
+      | None -> ([], None)
+      | Some port ->
+          let ifc = nic t port in
+          let hosts =
+            Hashtbl.fold
+              (fun (p, ip) mac acc ->
+                if
+                  p = port
+                  && Ipv4_addr.Prefix.mem ip r.r_prefix
+                  && not (Ipv4_addr.equal ip (Iface.ip ifc))
+                then
+                  {
+                    fr_prefix = Ipv4_addr.Prefix.make ip 32;
+                    fr_port = port;
+                    fr_src_mac = Iface.mac ifc;
+                    fr_dst_mac = mac;
+                  }
+                  :: acc
+                else acc)
+              t.arp []
+          in
+          (hosts, None))
+  | Rib.Static | Rib.Ospf | Rib.Rip | Rib.Bgp -> (
+      match resolve_route t r with
+      | Some (port, Some nh) -> (
+          match Hashtbl.find_opt t.arp (port, nh) with
+          | Some mac ->
+              ( [
+                  {
+                    fr_prefix = r.r_prefix;
+                    fr_port = port;
+                    fr_src_mac = Iface.mac (nic t port);
+                    fr_dst_mac = mac;
+                  };
+                ],
+                None )
+          | None -> ([], Some (port, nh)))
+      | Some (_, None) | None -> ([], None))
+
+let compute_flows_full t =
+  let flows =
+    List.concat_map
+      (fun r ->
+        let flows, arp = route_exports t r in
+        (* Resolve the next hop over the virtual link; the export re-runs
+           when the reply is learned. *)
+        Option.iter (fun (port, nh) -> send_arp_request t port nh) arp;
+        flows)
+      (Rib.selected (rib t))
+  in
+  List.sort_uniq compare_flow flows
+
+let same_flow a b = compare_flow a b = 0
+
+(* Two selected routes can export the same flow (a connected subnet's
+   host flow and a /32 route through that host), hence the counts. *)
+let contribute t f =
+  t.exported <-
+    Flow_map.update f
+      (function None -> Some 1 | Some n -> Some (n + 1))
+      t.exported
+
+let retract t f =
+  t.exported <-
+    Flow_map.update f
+      (function Some 1 | None -> None | Some n -> Some (n - 1))
+      t.exported
+
+let is_recursive (r : Rib.route) =
+  r.r_proto <> Rib.Connected && r.r_next_hop <> None && String.equal r.r_iface ""
+
+(* Re-evaluate one prefix against the RIB's current selection. *)
+let refresh_slot t prefix =
+  let route = Rib.best (rib t) prefix in
+  let flows, arp =
+    match route with Some r -> route_exports t r | None -> ([], None)
+  in
+  let flows = List.sort compare_flow flows in
+  let old = Option.value (Hashtbl.find_opt t.slots prefix) ~default:[] in
+  if not (List.equal same_flow old flows) then begin
+    List.iter (retract t) old;
+    List.iter (contribute t) flows
+  end;
+  (match route with
+  | Some _ -> Hashtbl.replace t.slots prefix flows
+  | None -> Hashtbl.remove t.slots prefix);
+  t.arp_wanted <-
+    (match arp with
+    | Some a -> Prefix_map.add prefix a t.arp_wanted
+    | None -> Prefix_map.remove prefix t.arp_wanted);
+  match route with
+  | Some r when is_recursive r -> Hashtbl.replace t.recursive prefix ()
+  | Some _ | None -> Hashtbl.remove t.recursive prefix
+
+(* The incremental twin of [compute_flows_full]: re-evaluates only the
+   dirty prefixes (every prefix after [dirty_all]) plus the recursive
+   statics, then sends the same ARP requests, in the same prefix order,
+   as the full pass would. Returns the new export when it changed. *)
+let export t =
+  let mark p = Hashtbl.replace t.dirty_prefixes p () in
+  if t.dirty_all then begin
+    t.dirty_all <- false;
+    Hashtbl.iter (fun p _ -> mark p) t.slots;
+    List.iter (fun (r : Rib.route) -> mark r.r_prefix) (Rib.selected (rib t))
+  end;
+  Hashtbl.iter (fun p () -> mark p) t.recursive;
+  let dirty = Hashtbl.fold (fun p () acc -> p :: acc) t.dirty_prefixes [] in
+  Hashtbl.reset t.dirty_prefixes;
+  List.iter (refresh_slot t) dirty;
+  Prefix_map.iter (fun _ (port, nh) -> send_arp_request t port nh) t.arp_wanted;
+  let flows = List.rev (Flow_map.fold (fun f _ acc -> f :: acc) t.exported []) in
+  if List.equal same_flow flows t.last_flows then None else Some flows
 
 let refresh_flows t =
   if not t.flows_dirty then begin
@@ -159,13 +261,13 @@ let refresh_flows t =
       (Rf_sim.Engine.schedule ~entity:t.entity t.engine
          (Rf_sim.Vtime.span_ms 10) (fun () ->
            t.flows_dirty <- false;
-           let flows = compute_flows t in
-           if flows <> t.last_flows then begin
-             t.last_flows <- flows;
-             Rf_obs.Metrics.incr t.m_flow_exports;
-             t.on_flows_changed ();
-             List.iter (fun f -> f ()) (List.rev t.flow_listeners)
-           end))
+           match export t with
+           | None -> ()
+           | Some flows ->
+               t.last_flows <- flows;
+               Rf_obs.Metrics.incr t.m_flow_exports;
+               t.on_flows_changed ();
+               List.iter (fun f -> f ()) (List.rev t.flow_listeners)))
   end
 
 let flow_routes t = t.last_flows
@@ -189,6 +291,7 @@ let learn t port ip mac =
     Hashtbl.remove t.arp_probing key;
     if known <> Some mac then begin
       Hashtbl.replace t.arp key mac;
+      t.dirty_all <- true;
       refresh_flows t
     end;
     match Hashtbl.find_opt t.pending key with
@@ -321,6 +424,12 @@ let create engine ~dpid ~n_ports () =
       on_flows_changed = (fun () -> ());
       flow_listeners = [];
       flows_dirty = false;
+      dirty_prefixes = Hashtbl.create 16;
+      dirty_all = false;
+      slots = Hashtbl.create 64;
+      exported = Flow_map.empty;
+      arp_wanted = Prefix_map.empty;
+      recursive = Hashtbl.create 4;
       slow_forwarded = 0;
       m_slow_path =
         Rf_obs.Metrics.counter
@@ -336,9 +445,20 @@ let create engine ~dpid ~n_ports () =
   Array.iteri
     (fun i ifc ->
       Zebra.add_interface t.zebra ifc;
-      Iface.add_receiver ifc (handle_frame t (i + 1)))
+      Iface.add_receiver ifc (handle_frame t (i + 1));
+      (* Host flows exclude the NIC's own address; re-addressing within
+         the same subnet moves no RIB route, so flag it here. *)
+      Iface.add_address_listener ifc (fun () -> t.dirty_all <- true))
     nics;
-  Rib.add_listener (rib t) (fun _ -> refresh_flows t);
+  (* A RIB event moves the export of its own prefix only: routes that
+     resolve through other RIB entries (recursive statics) are
+     re-resolved on every export anyway. *)
+  Rib.add_listener (rib t) (fun ev ->
+      (match ev with
+      | Rib.Best_added r | Rib.Best_changed r ->
+          Hashtbl.replace t.dirty_prefixes r.r_prefix ()
+      | Rib.Best_removed p -> Hashtbl.replace t.dirty_prefixes p ());
+      refresh_flows t);
   (* Neighbour aging, Linux-style: entries unconfirmed for 300 s are
      probed (3 unicast-equivalent ARP requests); only unanswered probes
      remove the entry, so healthy next hops never cause flow churn. *)
@@ -365,6 +485,7 @@ let create engine ~dpid ~n_ports () =
                    Hashtbl.remove t.arp_probing key;
                    Hashtbl.remove t.arp key;
                    Hashtbl.remove t.arp_confirmed key;
+                   t.dirty_all <- true;
                    refresh_flows t
                | Some n ->
                    Hashtbl.replace t.arp_probing key (n - 1);

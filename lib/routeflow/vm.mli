@@ -78,9 +78,23 @@ type flow_route = {
   fr_dst_mac : Mac.t;  (** next hop or host MAC *)
 }
 
+val compare_flow : flow_route -> flow_route -> int
+(** Total order: prefix, then port and the two MACs. Zero exactly when
+    the two routes are equal. *)
+
 val flow_routes : t -> flow_route list
 (** The routes currently resolvable to a (port, MAC) pair — the set the
-    RF-client wants installed on the physical switch, sorted. *)
+    RF-client wants installed on the physical switch — sorted and
+    deduplicated by {!compare_flow}. *)
+
+val compute_flows_full : t -> flow_route list
+(** The export recomputed from scratch over every selected route,
+    sending an ARP request for each unresolved next hop in prefix
+    order. The reference oracle for the incremental export, which
+    re-evaluates only the prefixes whose RIB selection changed (every
+    prefix after an ARP or address change, and statics that resolve
+    through the RIB on every export) and must yield the same list and
+    send the same ARP requests. *)
 
 val set_on_flows_changed : t -> (unit -> unit) -> unit
 (** The single RF-client slot (consumed by {!Rf_system}); replaces any

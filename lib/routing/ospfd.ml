@@ -48,6 +48,8 @@ type neighbor = {
   mutable n_rxmt_timer : Rf_sim.Engine.timer option;
 }
 
+module Int_map = Map.Make (Int)
+
 type t = {
   engine : Rf_sim.Engine.t;
   entity : Rf_obs.Profiler.entity option;
@@ -62,16 +64,28 @@ type t = {
      drives the incremental recomputation. *)
   spf_dirty : (Ipv4_addr.t, unit) Hashtbl.t;
   (* Parsed stub links per advertising router — prefix, packed prefix
-     key, link metric — invalidated with the LSA, so route publication
-     does not re-derive masks and prefixes from unchanged LSAs every
-     run. *)
-  stub_cache : (Ipv4_addr.t, (Ipv4_addr.Prefix.t * int * int) array) Hashtbl.t;
+     key, link metric — re-parsed only when the router's LSA changes,
+     and indexed the other way round in [advertisers]. *)
+  stubs : (Ipv4_addr.t, (Ipv4_addr.Prefix.t * int * int) array) Hashtbl.t;
+  (* Packed prefix key -> (advertising router, link metric, prefix) for
+     every stub link in the LSDB: what publication re-evaluates when a
+     router's LSA or place in the tree changes. *)
+  advertisers : (int, (Ipv4_addr.t * int * Ipv4_addr.Prefix.t) list) Hashtbl.t;
   mutable my_seq : int32;
   mutable spf_scheduled : bool;
   mutable spf_count : int;
   mutable started : bool;
   mutable timers : Rf_sim.Engine.timer list;
-  mutable last_routes : Rib.route list;
+  (* Packed prefix key -> the OSPF route published for it. Mirrors the
+     RIB's OSPF candidates exactly (emptied in [stop] alongside the
+     wholesale withdraw), so publishing only what differs from it is
+     equivalent to [Rib.replace_proto]. *)
+  mutable published : Rib.route Int_map.t;
+  (* Inputs of the last publication besides the tree: Full neighbours
+     as (router id, address, interface), sorted, and the own-prefix
+     keys. A change to either forces a full publication. *)
+  mutable last_hops : (Ipv4_addr.t * Ipv4_addr.t * string) list;
+  mutable last_own : int list;
   mutable on_route_change : unit -> unit;
   m_spf : Rf_obs.Metrics.counter;
   m_hellos : Rf_obs.Metrics.counter;
@@ -93,13 +107,16 @@ let create engine ?entity cfg rib =
     spf = Spf.create ~root:cfg.router_id;
     graph = Spf.graph_create ();
     spf_dirty = Hashtbl.create 16;
-    stub_cache = Hashtbl.create 64;
+    stubs = Hashtbl.create 64;
+    advertisers = Hashtbl.create 64;
     my_seq = Ospf_pkt.initial_seq;
     spf_scheduled = false;
     spf_count = 0;
     started = false;
     timers = [];
-    last_routes = [];
+    published = Int_map.empty;
+    last_hops = [];
+    last_own = [];
     on_route_change = (fun () -> ());
     m_spf =
       Rf_obs.Metrics.counter
@@ -235,9 +252,7 @@ let refresh_graph_node t rid =
   | Some lsa -> Spf.graph_set_links t.graph rid (p2p_pairs lsa)
   | None -> Spf.graph_remove t.graph rid
 
-let mark_dirty t rid =
-  Hashtbl.replace t.spf_dirty rid ();
-  Hashtbl.remove t.stub_cache rid
+let mark_dirty t rid = Hashtbl.replace t.spf_dirty rid ()
 
 (* Set bits of the 32-bit netmask (SWAR popcount, replacing a 32-step
    shift loop on the route-build hot path). *)
@@ -260,31 +275,50 @@ let prefix_key p =
    lsl 6)
   lor Ipv4_addr.Prefix.length p
 
-(* Stub links of [rid]'s router LSA as (prefix, key, metric) triples,
-   parsed once per LSA generation. *)
-let stub_links_of t rid =
-  match Hashtbl.find_opt t.stub_cache rid with
-  | Some a -> a
-  | None ->
-      let a =
-        match router_lsa t rid with
-        | Some { Ospf_pkt.body = Ospf_pkt.Router { links }; _ } ->
-            List.filter_map
-              (fun (l : Ospf_pkt.router_link) ->
-                if l.link_type = Ospf_pkt.Stub then begin
-                  let p =
-                    Ipv4_addr.Prefix.make l.link_id
-                      (mask_len_of (Ipv4_addr.to_int32 l.link_data))
-                  in
-                  Some (p, prefix_key p, l.metric)
-                end
-                else None)
-              links
-            |> Array.of_list
-        | Some _ | None -> [||]
-      in
-      Hashtbl.add t.stub_cache rid a;
-      a
+(* Stub links of [rid]'s router LSA as (prefix, key, metric) triples. *)
+let parse_stubs t rid =
+  match router_lsa t rid with
+  | Some { Ospf_pkt.body = Ospf_pkt.Router { links }; _ } ->
+      List.filter_map
+        (fun (l : Ospf_pkt.router_link) ->
+          if l.link_type = Ospf_pkt.Stub then begin
+            let p =
+              Ipv4_addr.Prefix.make l.link_id
+                (mask_len_of (Ipv4_addr.to_int32 l.link_data))
+            in
+            Some (p, prefix_key p, l.metric)
+          end
+          else None)
+        links
+      |> Array.of_list
+  | Some _ | None -> [||]
+
+let stubs_of t rid =
+  match Hashtbl.find_opt t.stubs rid with Some a -> a | None -> [||]
+
+(* Re-parse [rid]'s stubs from the LSDB and re-index them; returns the
+   keys of the prefixes it advertised before and after. *)
+let refresh_stubs t rid =
+  let old = stubs_of t rid in
+  Array.iter
+    (fun (_, pkey, _) ->
+      match Hashtbl.find_opt t.advertisers pkey with
+      | None -> ()
+      | Some l -> (
+          match List.filter (fun (r, _, _) -> not (Ipv4_addr.equal r rid)) l with
+          | [] -> Hashtbl.remove t.advertisers pkey
+          | rest -> Hashtbl.replace t.advertisers pkey rest))
+    old;
+  let fresh = parse_stubs t rid in
+  if fresh = [||] then Hashtbl.remove t.stubs rid
+  else Hashtbl.replace t.stubs rid fresh;
+  Array.iter
+    (fun (prefix, pkey, metric) ->
+      let l = Option.value (Hashtbl.find_opt t.advertisers pkey) ~default:[] in
+      Hashtbl.replace t.advertisers pkey ((rid, metric, prefix) :: l))
+    fresh;
+  Array.fold_left (fun acc (_, k, _) -> k :: acc) [] old
+  |> Array.fold_right (fun (_, k, _) acc -> k :: acc) fresh
 
 (* Everything but the prefix (equal by construction at comparison
    sites): cheap field-wise check replacing polymorphic equality. *)
@@ -298,35 +332,74 @@ let route_same (a : Rib.route) (b : Rib.route) =
   && String.equal a.Rib.r_iface b.Rib.r_iface
   && a.Rib.r_proto = b.Rib.r_proto
 
-(* Build OSPF routes from remote routers' stub links, using the SPT
-   held in [t.spf]. Equal-cost prefix candidates break ties on the
-   advertising router id so the result is independent of hash order. *)
-let publish_routes t =
+(* Next hop and interface toward a first-hop router, when it is a Full
+   neighbour. *)
+let hop_info t hop =
+  match Hashtbl.find_opt t.nbr_tbl hop with
+  | Some hop_nbr when hop_nbr.n_state = Full ->
+      Some (Some hop_nbr.n_addr, Iface.name hop_nbr.n_oiface.ifc)
+  | Some _ | None -> None
+
+let full_hops t =
+  Hashtbl.fold
+    (fun rid n acc ->
+      if n.n_state = Full then (rid, n.n_addr, Iface.name n.n_oiface.ifc) :: acc
+      else acc)
+    t.nbr_tbl []
+  |> List.sort compare
+
+let own_keys t = List.map (fun oif -> prefix_key (Iface.prefix oif.ifc)) t.ifaces
+
+let ospf_route prefix metric (next_hop, iface) =
+  {
+    Rib.r_prefix = prefix;
+    r_proto = Rib.Ospf;
+    r_distance = Rib.default_distance Rib.Ospf;
+    r_metric = metric;
+    r_next_hop = next_hop;
+    r_iface = iface;
+  }
+
+(* Moves one prefix from its published route to [next], touching the
+   RIB only when the route actually moved. Returns whether it did. *)
+let publish_one t pkey next =
+  let old = Int_map.find_opt pkey t.published in
+  match (old, next) with
+  | None, None -> false
+  | Some o, None ->
+      Rib.withdraw t.rib Rib.Ospf o.Rib.r_prefix;
+      t.published <- Int_map.remove pkey t.published;
+      true
+  | Some o, Some n when route_same o n -> false
+  | (Some _ | None), Some n ->
+      Rib.update t.rib n;
+      t.published <- Int_map.add pkey n t.published;
+      true
+
+(* Publish [next] for each of [keys] in ascending key order — the
+   order of [Prefix.compare], so the RIB sees the same sequence of
+   updates and withdrawals as a sorted merge of the whole route list
+   against the previous one. *)
+let publish_keys t keys next =
+  let changed =
+    List.fold_left
+      (fun changed pkey -> publish_one t pkey (next pkey) || changed)
+      false
+      (List.sort_uniq Int.compare keys)
+  in
+  if changed then t.on_route_change ()
+
+(* Full publication: build OSPF routes from every reachable router's
+   stub links, using the SPT held in [t.spf]. Equal-cost prefix
+   candidates break ties on the advertising router id so the result is
+   independent of hash order. The reference for [publish_delta]. *)
+let publish_full t =
   let candidates : (int, Rib.route * Ipv4_addr.t) Hashtbl.t =
     Hashtbl.create 64
   in
-  (* Distinct first hops number at most the root's degree, so the
-     neighbor lookup memoizes on the previous hop. *)
-  let memo_hop = ref Ipv4_addr.any in
-  let memo_info = ref None in
-  let hop_info hop =
-    if Ipv4_addr.equal hop !memo_hop then !memo_info
-    else begin
-      memo_hop := hop;
-      let info =
-        match Hashtbl.find_opt t.nbr_tbl hop with
-        | Some hop_nbr when hop_nbr.n_state = Full ->
-            Some (Some hop_nbr.n_addr, Iface.name hop_nbr.n_oiface.ifc)
-        | Some _ | None -> None
-      in
-      memo_info := info;
-      info
-    end
-  in
   Spf.iter t.spf (fun rid d hop ->
-      match hop_info hop with
-      | Some (next_hop, iface) ->
-          let stubs = stub_links_of t rid in
+      match hop_info t hop with
+      | Some info ->
           Array.iter
             (fun (prefix, pkey, link_metric) ->
               let metric = d + link_metric in
@@ -340,72 +413,59 @@ let publish_routes t =
               in
               if better then
                 Hashtbl.replace candidates pkey
-                  ( {
-                      Rib.r_prefix = prefix;
-                      r_proto = Rib.Ospf;
-                      r_distance = Rib.default_distance Rib.Ospf;
-                      r_metric = metric;
-                      r_next_hop = next_hop;
-                      r_iface = iface;
-                    },
-                    rid ))
-            stubs
+                  (ospf_route prefix metric info, rid))
+            (stubs_of t rid)
       | None -> ());
   (* Drop prefixes we own directly: connected wins anyway, but keeping
      them out of the OSPF table matches Quagga. *)
-  let own_keys =
-    List.map (fun oif -> prefix_key (Iface.prefix oif.ifc)) t.ifaces
+  let own = own_keys t in
+  List.iter (Hashtbl.remove candidates) own;
+  t.last_own <- own;
+  t.last_hops <- full_hops t;
+  let keys =
+    Int_map.fold (fun k _ acc -> k :: acc) t.published []
+    |> Hashtbl.fold (fun k _ acc -> k :: acc) candidates
   in
-  let routes =
-    Hashtbl.fold
-      (fun pkey (route, _) acc ->
-        if List.exists (fun (k : int) -> k = pkey) own_keys then acc
-        else (pkey, route) :: acc)
-      candidates []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
+  publish_keys t keys (fun pkey ->
+      Option.map fst (Hashtbl.find_opt candidates pkey))
+
+(* The best route to one prefix among its advertisers, by the same rule
+   as [publish_full]: lowest metric, then lowest advertising router. *)
+let best_route t pkey =
+  if List.mem pkey t.last_own then None
+  else
+    let best =
+      List.fold_left
+        (fun best (rid, link_metric, prefix) ->
+          match (Spf.dist t.spf rid, Spf.first_hop t.spf rid) with
+          | Some d, Some hop -> (
+              match hop_info t hop with
+              | None -> best
+              | Some info -> (
+                  let metric = d + link_metric in
+                  match best with
+                  | Some (bm, brid, _, _)
+                    when bm < metric
+                         || (bm = metric && Ipv4_addr.compare brid rid <= 0) ->
+                      best
+                  | Some _ | None -> Some (metric, rid, prefix, info)))
+          | Some _, None | None, (Some _ | None) -> best)
+        None
+        (Option.value (Hashtbl.find_opt t.advertisers pkey) ~default:[])
+    in
+    Option.map (fun (metric, _, prefix, info) -> ospf_route prefix metric info) best
+
+(* Incremental publication: only the prefixes advertised by routers
+   whose LSA changed ([stub_keys], old and new stubs) or whose distance
+   or first hop moved can have a different best route. *)
+let publish_delta t ~stub_keys ~moved =
+  let keys =
+    List.fold_left
+      (fun acc rid ->
+        Array.fold_left (fun acc (_, k, _) -> k :: acc) acc (stubs_of t rid))
+      stub_keys moved
   in
-  (* Publish as a sorted-merge diff against the previous run: only
-     prefixes whose best route actually moved touch the RIB trie.
-     [last_routes] mirrors the RIB's OSPF content exactly (emptied in
-     [stop] alongside the wholesale withdraw), so this is equivalent
-     to [Rib.replace_proto] at a fraction of the cost on the hot
-     steady-state path where most routes are unchanged. *)
-  let changed = ref false in
-  let rec merge olds news =
-    match (olds, news) with
-    | [], [] -> ()
-    | o :: os, [] ->
-        Rib.withdraw t.rib Rib.Ospf o.Rib.r_prefix;
-        changed := true;
-        merge os []
-    | [], n :: ns ->
-        Rib.update t.rib n;
-        changed := true;
-        merge [] ns
-    | o :: os, n :: ns ->
-        let c = Ipv4_addr.Prefix.compare o.Rib.r_prefix n.Rib.r_prefix in
-        if c < 0 then begin
-          Rib.withdraw t.rib Rib.Ospf o.Rib.r_prefix;
-          changed := true;
-          merge os news
-        end
-        else if c > 0 then begin
-          Rib.update t.rib n;
-          changed := true;
-          merge olds ns
-        end
-        else begin
-          if not (route_same o n) then begin
-            Rib.update t.rib n;
-            changed := true
-          end;
-          merge os ns
-        end
-  in
-  merge t.last_routes routes;
-  t.last_routes <- routes;
-  if !changed then t.on_route_change ()
+  publish_keys t keys (best_route t)
 
 let rec schedule_spf t =
   if not t.spf_scheduled then begin
@@ -424,14 +484,22 @@ and run_spf t =
   let dirty = Hashtbl.fold (fun rid () acc -> rid :: acc) t.spf_dirty [] in
   Hashtbl.reset t.spf_dirty;
   List.iter (refresh_graph_node t) dirty;
-  Spf.update t.spf t.graph ~dirty;
-  publish_routes t
+  let change = Spf.update t.spf t.graph ~dirty in
+  let stub_keys = List.concat_map (refresh_stubs t) dirty in
+  match change with
+  | Spf.Routers moved
+    when full_hops t = t.last_hops && own_keys t = t.last_own ->
+      publish_delta t ~stub_keys ~moved
+  | Spf.Routers _ | Spf.All -> publish_full t
 
 let spf_now_full t =
   Rf_obs.Metrics.incr t.m_spf;
   t.spf_count <- t.spf_count + 1;
-  (* Reference oracle: rebuild the adjacency cache from the LSDB and
-     recompute the tree from scratch. *)
+  (* Reference oracle: rebuild the adjacency cache from the LSDB,
+     recompute the tree from scratch and publish every prefix. Stub
+     links are re-parsed only for routers whose LSA changed, as on the
+     incremental path. *)
+  Hashtbl.iter (fun rid () -> ignore (refresh_stubs t rid)) t.spf_dirty;
   Hashtbl.reset t.spf_dirty;
   Spf.graph_reset t.graph;
   Hashtbl.iter
@@ -439,8 +507,8 @@ let spf_now_full t =
       if k.k_type = 1 then Spf.graph_set_links t.graph k.k_adv (p2p_pairs lsa))
     t.lsdb;
   Spf.full t.spf t.graph;
-  publish_routes t;
-  List.length t.last_routes
+  publish_full t;
+  Int_map.cardinal t.published
 
 let install_lsa t lsa =
   Hashtbl.replace t.lsdb (Ospf_pkt.key_of_lsa lsa) lsa;
@@ -830,7 +898,7 @@ let stop t =
       t.nbr_tbl;
     Hashtbl.reset t.nbr_tbl;
     Rib.replace_proto t.rib Rib.Ospf [];
-    t.last_routes <- []
+    t.published <- Int_map.empty
   end
 
 let neighbors t =
@@ -854,9 +922,9 @@ let spf_runs t = t.spf_count
 
 let spf_now t =
   run_spf t;
-  List.length t.last_routes
+  Int_map.cardinal t.published
 
-let routes t = t.last_routes
+let routes t = List.map snd (Int_map.bindings t.published)
 
 let is_adjacent_to t rid =
   match Hashtbl.find_opt t.nbr_tbl rid with

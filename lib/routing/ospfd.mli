@@ -69,12 +69,15 @@ val spf_now : t -> int
 (** Runs SPF synchronously (outside the normal holddown scheduling) and
     returns the number of OSPF routes produced. Incremental: repairs
     only the part of the shortest-path tree affected by LSAs changed
-    since the last run. For benchmarks. *)
+    since the last run, then re-evaluates only the prefixes advertised
+    by routers whose LSA, distance or first hop changed. Publication
+    falls back to a full pass when the tree was rebuilt or the Full
+    neighbours or own prefixes changed. For benchmarks. *)
 
 val spf_now_full : t -> int
-(** Like {!spf_now} but recomputes the whole tree from the LSDB from
-    scratch. The reference oracle for the incremental path: both must
-    produce identical routes. *)
+(** Like {!spf_now} but recomputes the whole tree, and publishes every
+    prefix, from the LSDB from scratch. The reference oracle for the
+    incremental path: both must produce identical routes. *)
 
 val routes : t -> Rib.route list
 (** The OSPF route list the last SPF run published. The RIB's OSPF

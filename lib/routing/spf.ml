@@ -284,7 +284,7 @@ let canonical_pass t g =
    and so are the candidates' inherited preferences (fh changes
    propagate through [fh_changed]). Processing in (dist, key) order
    makes each candidate's final pref available when read, exactly as
-   in the full pass. *)
+   in the full pass. Returns the nodes whose first hop changed. *)
 let canonical_update t g ~touched =
   let fh_changed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let root_idx = root_idx_fn t g in
@@ -318,7 +318,8 @@ let canonical_update t g ~touched =
             if Hashtbl.find_opt t.fh v <> old_fh then
               Hashtbl.replace fh_changed v ()
           end)
-    (ordered_nodes t)
+    (ordered_nodes t);
+  fh_changed
 
 let full t g =
   Hashtbl.reset t.dist;
@@ -331,10 +332,18 @@ let full t g =
   canonical_pass t g;
   t.computed <- true
 
+type change = All | Routers of Ipv4_addr.t list
+
+let rid_of_key k = Ipv4_addr.of_int32 (Int32.of_int k)
+
 let update t g ~dirty =
   if (not t.computed) || List.exists (fun rid -> key rid = t.root_key) dirty
-  then full t g
-  else if dirty <> [] then begin
+  then begin
+    full t g;
+    All
+  end
+  else if dirty = [] then Routers []
+  else begin
     (* Invalidate the dirty routers plus everything the old tree
        reached through them; what is left keeps correct distances
        (their canonical paths avoid every changed router, and edges
@@ -408,7 +417,11 @@ let update t g ~dirty =
           Hashtbl.remove t.pref k
         end)
       invalid;
-    canonical_update t g ~touched:invalid
+    let fh_changed = canonical_update t g ~touched:invalid in
+    (* Every node whose distance or first hop can differ from the last
+       run: [invalid] covers the distances, [fh_changed] the hops. *)
+    Hashtbl.iter (fun k () -> Hashtbl.replace invalid k ()) fh_changed;
+    Routers (Hashtbl.fold (fun k () acc -> rid_of_key k :: acc) invalid [])
   end
 
 let dist t rid = Hashtbl.find_opt t.dist (key rid)

@@ -35,12 +35,20 @@ val create : root:Ipv4_addr.t -> t
 val full : t -> graph -> unit
 (** Cold-start: recompute the whole tree from the root. *)
 
-val update : t -> graph -> dirty:Ipv4_addr.t list -> unit
+type change =
+  | All  (** the whole tree was recomputed *)
+  | Routers of Ipv4_addr.t list
+      (** a superset of the routers whose distance or first hop changed,
+          including those that became unreachable (unordered) *)
+
+val update : t -> graph -> dirty:Ipv4_addr.t list -> change
 (** Warm-start: repair the tree given that exactly the routers in
     [dirty] changed their links since the last run. The caller must
     have refreshed [graph] for those routers first. Falls back to
-    {!full} when the tree has never been computed or when the root
-    itself is dirty. *)
+    {!full}, and returns [All], when the tree has never been computed
+    or when the root itself is dirty. Otherwise returns the routers
+    whose place in the tree may have moved, so route publication can
+    re-evaluate only what they advertise. *)
 
 val dist : t -> Ipv4_addr.t -> int option
 (** Distance from the root; [None] when unreachable. *)

@@ -285,6 +285,87 @@ let test_fast_reroute_on_link_failure () =
      (loss limited to the reconvergence seconds). *)
   Alcotest.(check bool) "rerouted quickly" true (after_window - before >= 75)
 
+(* Work counters of the paper's workload, pinned: a 28-switch ring
+   whose VMs boot one after another (8 s each, OSPF, seed 4242), run in
+   100 ms steps until routing has converged and every switch holds
+   exactly its VM's exported flows. Each counter is a virtual-clock
+   quantity, so any change to how much the route-to-flow pipeline
+   computes or sends (SPF runs, flow exports, flow-mods, table entries,
+   engine events) fails here, on any machine. *)
+let test_ring_serial_work_counters () =
+  let s =
+    Scenario.build
+      ~options:{ Scenario.default_options with seed = 4242 }
+      (Topo_gen.ring 28)
+  in
+  let engine = Scenario.engine s in
+  let rf = Scenario.rf_system s and app = Scenario.rf_app s in
+  let net = Scenario.network s in
+  let synced (dpid, dp) =
+    match Rf_system.vm rf dpid with
+    | None -> false
+    | Some vm ->
+        let routes = Vm.flow_routes vm in
+        let table = Rf_net.Flow_table.entries (Rf_net.Datapath.flow_table dp) in
+        Rf_system.is_configured rf dpid
+        && Rf_routing.Rib.size (Vm.rib vm) >= Scenario.total_subnets s
+        && routes = Rf_routeflow.Rf_controller_app.installed_flows app dpid
+        && List.for_all
+             (fun (fr : Vm.flow_route) ->
+               let m = Rf_routeflow.Rf_controller_app.match_of_route fr in
+               let prio =
+                 Rf_routeflow.Rf_controller_app.priority_of_prefix_len
+                   (Rf_packet.Ipv4_addr.Prefix.length fr.Vm.fr_prefix)
+               in
+               List.exists
+                 (fun (e : Rf_net.Flow_table.entry) ->
+                   Rf_openflow.Of_match.equal e.e_match m
+                   && e.e_priority = prio
+                   && e.e_actions
+                      = Rf_openflow.
+                          [
+                            Of_action.Set_dl_src fr.Vm.fr_src_mac;
+                            Of_action.Set_dl_dst fr.Vm.fr_dst_mac;
+                            Of_action.output fr.Vm.fr_port;
+                          ])
+                 table)
+             routes
+  in
+  let done_ () =
+    Scenario.routing_converged_at s <> None
+    && List.for_all synced (Rf_net.Network.datapaths net)
+  in
+  let ev0 = Rf_sim.Engine.events_executed engine in
+  while
+    (not (done_ ()))
+    && Vtime.to_s (Rf_sim.Engine.now engine) < (8.0 *. 28.0) +. 120.0
+  do
+    Scenario.run_for s (Vtime.span_ms 100)
+  done;
+  Alcotest.(check bool) "converged and synced" true (done_ ());
+  let vms = Rf_system.vms rf in
+  let sum f = List.fold_left (fun acc x -> acc + f x) 0 in
+  let exports =
+    Rf_obs.Metrics.fold (Rf_sim.Engine.metrics engine) ~init:0
+      ~counter:(fun acc ~name ~labels:_ v ->
+        if name = "vm_flow_exports_total" then acc + v else acc)
+      ~gauge:(fun acc ~name:_ ~labels:_ _ -> acc)
+  in
+  Alcotest.(check int) "SPF runs" 406
+    (sum
+       (fun (_, vm) ->
+         match Vm.ospfd vm with Some d -> Rf_routing.Ospfd.spf_runs d | None -> 0)
+       vms);
+  Alcotest.(check int) "flow-mods" 1148
+    (Rf_routeflow.Rf_controller_app.flow_mods_sent app);
+  Alcotest.(check int) "flow exports" 459 exports;
+  Alcotest.(check int) "flow entries" 784
+    (sum
+       (fun (_, dp) -> Rf_net.Flow_table.size (Rf_net.Datapath.flow_table dp))
+       (Rf_net.Network.datapaths net));
+  Alcotest.(check int) "events" 35520
+    (Rf_sim.Engine.events_executed engine - ev0)
+
 let suite =
   [
     Alcotest.test_case "discovery finds all switches and links" `Quick
@@ -316,4 +397,6 @@ let suite =
       test_switch_reconnect_heals;
     Alcotest.test_case "link failure reroutes inside the dead interval" `Quick
       test_fast_reroute_on_link_failure;
+    Alcotest.test_case "28-switch serial ring work counters" `Quick
+      test_ring_serial_work_counters;
   ]

@@ -320,46 +320,105 @@ let prop_flow_table_model =
           | _ -> false)
         [ 0; 1; 2; 3 ])
 
-(* Differential oracle for the bucketed index: lookup and lookup_linear
-   must return the SAME entry (physical equality, not just equal
-   priority) for every key, across add/delete churn that forces index
-   rebuilds. *)
+(* Differential oracle for the incrementally maintained index: after
+   every operation of a random add / modify / delete / expire sequence,
+   with lookups interleaved so that mutations hit a built index, lookup
+   and lookup_linear must return the SAME entry (physical equality, not
+   just equal priority) for every probe key, the index must equal a
+   from-scratch rebuild, [size] must count [entries], and [expire] must
+   return exactly what a full scan over [entries] selects. Entries with
+   idle and hard timeouts are mixed with permanent ones, and half the
+   matches also pin the in-port, so buckets appear and empty out. *)
 let prop_bucketed_lookup_matches_linear =
-  QCheck.Test.make ~name:"bucketed lookup equals linear scan" ~count:100
+  let op =
     QCheck.(
-      list_of_size (Gen.int_bound 60)
-        (quad (int_bound 5) (int_bound 7) (oneofl [ 8; 16; 24; 32 ]) (int_bound 3)))
+      pair
+        (quad (int_bound 9) (int_bound 7) (oneofl [ 8; 16; 24; 32 ]) (int_bound 3))
+        (pair (int_bound 3) bool))
+  in
+  QCheck.Test.make ~name:"bucketed lookup equals linear scan" ~count:200
+    QCheck.(list_of_size (Gen.int_bound 80) op)
     (fun ops ->
       let table = Flow_table.create () in
-      let now = Vtime.zero in
-      List.iter
-        (fun (kind, oct, len, prio) ->
+      let now = ref Vtime.zero in
+      let probes =
+        List.map (fun oct -> key_for (Ipv4_addr.of_octets 10 oct 7 9)) [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+      in
+      let age_out e =
+        let past from limit =
+          limit > 0
+          && Vtime.(add from (span_s (float_of_int limit)) <= !now)
+        in
+        if past e.Flow_table.e_installed e.Flow_table.e_hard_timeout then
+          Some Flow_table.Expired_hard
+        else if past e.Flow_table.e_last_used e.Flow_table.e_idle_timeout then
+          Some Flow_table.Expired_idle
+        else None
+      in
+      let expected_expiry () =
+        List.filter_map
+          (fun e -> Option.map (fun r -> (e, r)) (age_out e))
+          (Flow_table.entries table)
+        |> List.stable_sort (fun ((a : Flow_table.entry), _) (b, _) ->
+               match compare b.Flow_table.e_priority a.Flow_table.e_priority with
+               | 0 -> Int64.compare a.Flow_table.e_cookie b.Flow_table.e_cookie
+               | c -> c)
+      in
+      let consistent () =
+        let expected = expected_expiry () in
+        let expired = Flow_table.expire table ~now:!now in
+        List.length expired = List.length expected
+        && List.for_all2 (fun (a, ra) (b, rb) -> a == b && ra = rb) expired expected
+        && Flow_table.size table = List.length (Flow_table.entries table)
+        && Flow_table.index_consistent table
+        && List.for_all
+             (fun key ->
+               match
+                 (Flow_table.lookup table key, Flow_table.lookup_linear table key)
+               with
+               | None, None -> true
+               | Some a, Some b -> a == b
+               | _ -> false)
+             probes
+      in
+      List.for_all
+        (fun ((kind, oct, len, prio), (aux, pin_port)) ->
           let prefix =
             Ipv4_addr.Prefix.make (Ipv4_addr.of_octets 10 oct 0 0) len
           in
           let m = Of_match.nw_dst_prefix prefix in
-          let fm =
-            match kind with
-            | 0 | 1 | 2 ->
-                Of_msg.flow_add ~priority:(100 + prio) m
-                  [ Of_action.output (oct + 1) ]
-            | 3 -> Of_msg.flow_delete m
-            | _ -> Of_msg.flow_delete ~strict:true ~priority:(100 + prio) m
+          let m = if pin_port then { m with Of_match.m_in_port = Some 1 } else m in
+          let priority = 100 + prio and cookie = Int64.of_int aux in
+          let actions = [ Of_action.output (oct + 1) ] in
+          let apply fm =
+            match Flow_table.apply_flow_mod table ~now:!now fm with
+            | Ok _ -> ()
+            | Error e -> failwith e
           in
-          match Flow_table.apply_flow_mod table ~now fm with
-          | Ok _ -> ()
-          | Error e -> failwith e)
-        ops;
-      List.for_all
-        (fun oct ->
-          let key = key_for (Ipv4_addr.of_octets 10 oct 7 9) in
-          match
-            (Flow_table.lookup table key, Flow_table.lookup_linear table key)
-          with
-          | None, None -> true
-          | Some a, Some b -> a == b
-          | _ -> false)
-        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+          (match kind with
+          | 0 | 1 -> apply (Of_msg.flow_add ~cookie ~priority m actions)
+          | 2 ->
+              apply (Of_msg.flow_add ~cookie ~idle_timeout:(aux + 1) ~priority m actions)
+          | 3 ->
+              apply (Of_msg.flow_add ~cookie ~hard_timeout:(aux + 1) ~priority m actions)
+          | 4 -> apply (Of_msg.flow_delete m)
+          | 5 -> apply (Of_msg.flow_delete ~strict:true ~priority m)
+          | 6 ->
+              apply
+                { (Of_msg.flow_add ~priority m [ Of_action.output 9 ]) with
+                  Of_msg.fm_command = Of_msg.Modify }
+          | 7 ->
+              apply
+                { (Of_msg.flow_add ~priority m [ Of_action.output 9 ]) with
+                  Of_msg.fm_command = Of_msg.Modify_strict }
+          | 8 -> now := Vtime.add !now (Vtime.span_s (float_of_int aux))
+          | _ -> (
+              (* A lookup that counts as use, refreshing the idle timer. *)
+              match Flow_table.lookup table (List.nth probes oct) with
+              | Some e -> Flow_table.account e ~now:!now ~bytes:64
+              | None -> ()));
+          consistent ())
+        ops)
 
 (* Regression: two entries at the same priority both matching a key —
    insertion order must break the tie, identically on both paths. The

@@ -221,6 +221,106 @@ let test_vm_flow_export () =
         (Mac.equal fr.Vm.fr_dst_mac (Mac.make_local 99))
   | None -> Alcotest.fail "no host flow"
 
+(* Differential oracle for the incremental flow export: over random
+   sequences of RIB updates and withdrawals (OSPF, static, connected)
+   and ARP learning and aging, the export a VM publishes after each
+   debounce equals [compute_flows_full], and the ARP requests that
+   export sent for unresolved next hops are the very frames the full
+   pass sends. The prefixes overlap on purpose: a /25 that shadows a
+   connected subnet for recursive statics, a /32 that duplicates a host
+   flow, and an OSPF route for a connected subnet. Re-addressing a NIC
+   inside its subnet moves no RIB route, so the export it invalidates
+   is compared only once a later change has triggered one. *)
+let prop_vm_export_matches_full =
+  let prefixes =
+    Array.map pfx
+      [| "10.1.0.0/24"; "10.1.1.0/24"; "10.2.0.0/16"; "10.0.1.0/25";
+         "10.0.2.3/32"; "10.0.3.0/24" |]
+  in
+  let addr port h = ip (Printf.sprintf "10.0.%d.%d" port h) in
+  QCheck.Test.make ~name:"incremental flow export equals full recompute"
+    ~count:150
+    QCheck.(
+      list_of_size (Gen.int_bound 40)
+        (quad (int_bound 9) (int_bound 5) (int_range 1 3) (int_range 2 5)))
+    (fun ops ->
+      let engine = Engine.create () in
+      let vm = Vm.create engine ~dpid:1L ~n_ports:3 () in
+      let sent = ref [] in
+      for port = 1 to 3 do
+        let nic = Vm.nic vm port in
+        Iface.set_transmit nic (fun f -> sent := (port, f) :: !sent);
+        Iface.set_address nic ~ip:(addr port 1) ~prefix_len:24
+      done;
+      let rib = Vm.rib vm in
+      let rib_events = ref 0 in
+      Rib.add_listener rib (fun _ -> incr rib_events);
+      let connected port =
+        {
+          Rib.r_prefix = Iface.prefix (Vm.nic vm port);
+          r_proto = Rib.Connected;
+          r_distance = 0;
+          r_metric = 0;
+          r_next_hop = None;
+          r_iface = Iface.name (Vm.nic vm port);
+        }
+      in
+      let drain () =
+        let frames = List.rev !sent in
+        sent := [];
+        frames
+      in
+      let settle span =
+        ignore (Engine.run ~until:(Vtime.add (Engine.now engine) span) engine)
+      in
+      settle (Vtime.span_ms 20);
+      let readdressed = ref false in
+      List.for_all
+        (fun (kind, k, port, h) ->
+          let events0 = !rib_events and arp0 = Vm.arp_entries vm in
+          let prefix = prefixes.(k) in
+          let aged = kind = 8 in
+          (match kind with
+          | 0 | 1 ->
+              Rib.update rib
+                {
+                  Rib.r_prefix = prefix;
+                  r_proto = Rib.Ospf;
+                  r_distance = 110;
+                  r_metric = 10 * h;
+                  r_next_hop = Some (addr port h);
+                  r_iface = Iface.name (Vm.nic vm port);
+                }
+          | 2 -> Rib.withdraw rib Rib.Ospf prefix
+          | 3 ->
+              (* Port 3's next hops lie outside every subnet. *)
+              Rf_routing.Zebra.add_static (Vm.zebra vm) prefix
+                (if port = 3 then ip (Printf.sprintf "10.9.0.%d" h) else addr port h)
+          | 4 -> Rib.withdraw rib Rib.Static prefix
+          | 5 ->
+              if h mod 2 = 0 then Rib.withdraw rib Rib.Connected (Iface.prefix (Vm.nic vm port))
+              else Rib.update rib (connected port)
+          | 6 | 7 ->
+              Iface.deliver (Vm.nic vm port)
+                (Packet.arp ~src:(Mac.make_local (100 + kind)) ~dst:Mac.broadcast
+                   (Arp.request ~sender_mac:(Mac.make_local (100 + kind))
+                      ~sender_ip:(addr port h) ~target_ip:(addr port 200)))
+          | 8 -> settle (Vtime.span_s 450.0)
+          | _ ->
+              Iface.set_address (Vm.nic vm port) ~ip:(addr port h) ~prefix_len:24;
+              readdressed := true);
+          ignore (drain ());
+          settle (Vtime.span_ms 20);
+          let exported = drain () in
+          let full = Vm.compute_flows_full vm in
+          let full_frames = drain () in
+          let exported_once = !rib_events <> events0 || Vm.arp_entries vm <> arp0 in
+          if exported_once || aged then readdressed := false;
+          (!readdressed
+          || List.equal (fun a b -> Vm.compare_flow a b = 0) (Vm.flow_routes vm) full)
+          && (aged || exported = if exported_once then full_frames else []))
+        ops)
+
 let test_vm_arp_aging_drops_silent_neighbor () =
   let engine = Engine.create () in
   let vm = make_vm engine in
@@ -497,6 +597,7 @@ let suite =
     Alcotest.test_case "vm slow path ARPs and queues" `Quick
       test_vm_slow_path_arps_when_unknown;
     Alcotest.test_case "vm exports flow routes" `Quick test_vm_flow_export;
+    QCheck_alcotest.to_alcotest prop_vm_export_matches_full;
     Alcotest.test_case "ARP aging drops silent neighbours" `Quick
       test_vm_arp_aging_drops_silent_neighbor;
     Alcotest.test_case "ARP aging keeps responsive neighbours" `Quick

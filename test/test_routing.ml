@@ -441,10 +441,25 @@ let prop_spf_incremental_matches_full =
             adj.(j).(i) <- m;
             spf_sync g adj n i;
             spf_sync g adj n j;
-            Spf.update t g ~dirty:[ spf_rid i; spf_rid j ];
+            let place () =
+              List.init n (fun v ->
+                  (Spf.dist t (spf_rid v), Spf.first_hop t (spf_rid v)))
+            in
+            let before = place () in
+            let change = Spf.update t g ~dirty:[ spf_rid i; spf_rid j ] in
             let fresh = Spf.create ~root:(spf_rid 0) in
             Spf.full fresh g;
+            (* Every router whose distance or first hop moved is reported. *)
+            let reported v =
+              match change with
+              | Spf.All -> true
+              | Spf.Routers l -> List.exists (Ipv4_addr.equal (spf_rid v)) l
+            in
             spf_snapshot t = spf_snapshot fresh
+            && List.for_all2
+                 (fun (v, old) now -> old = now || reported v)
+                 (List.mapi (fun v p -> (v, p)) before)
+                 (place ())
           end)
         mutations)
 
@@ -668,6 +683,167 @@ let test_ospfd_incremental_rib_oracle () =
       (11, true); (10, true); (25, false); (10, false); (3, true); (10, true);
     ]
 
+(* A neighbour can leave Full without any LSA changing: a database
+   description from it that lists a newer instance puts it back into
+   Loading. The next SPF run must then stop routing through it, exactly
+   as the from-scratch publication does. *)
+let test_ospfd_loading_neighbour_republishes () =
+  let engine = Engine.create () in
+  let n = 3 in
+  let rid i = ip (Printf.sprintf "10.250.3.%d" (i + 1)) in
+  let ribs = Array.init n (fun _ -> Rib.create ()) in
+  let routers =
+    Array.init n (fun i ->
+        Ospfd.create engine (Ospfd.default_config ~router_id:(rid i)) ribs.(i))
+  in
+  Array.iteri
+    (fun i d ->
+      Ospfd.add_interface d ~passive:true
+        (Iface.create
+           ~name:(Printf.sprintf "stub%d" i)
+           ~mac:(Mac.make_local (7700 + i))
+           ~ip:(ip (Printf.sprintf "10.6.%d.1" i))
+           ~prefix_len:24 ()))
+    routers;
+  let links =
+    Array.init (n - 1) (fun i ->
+        let mk name last =
+          Iface.create ~name
+            ~mac:(Mac.make_local (7800 + (2 * i) + last))
+            ~ip:(ip (Printf.sprintf "172.23.%d.%d" i last))
+            ~prefix_len:30 ()
+        in
+        let a = mk (Printf.sprintf "r%d" i) 1 and b = mk (Printf.sprintf "l%d" i) 2 in
+        ospfd_join engine a b;
+        Ospfd.add_interface routers.(i) a;
+        Ospfd.add_interface routers.(i + 1) b;
+        (a, b))
+  in
+  Array.iter Ospfd.start routers;
+  ignore (Engine.run ~until:(Vtime.of_s 60.) engine);
+  let d = routers.(0) and rib = ribs.(0) in
+  Alcotest.(check bool) "routes through the neighbour" true (ospf_content rib <> []);
+  let mine, theirs = links.(0) in
+  let lsa =
+    List.find
+      (fun (l : Ospf_pkt.lsa) -> Ipv4_addr.equal l.adv_router (rid 1))
+      (Ospfd.lsdb d)
+  in
+  let h = Ospf_pkt.header_of_lsa lsa in
+  Iface.deliver mine
+    (Packet.ospf ~src_mac:(Iface.mac theirs) ~dst_mac:(Iface.mac mine)
+       ~src_ip:(Iface.ip theirs) ~dst_ip:(Iface.ip mine)
+       {
+         Ospf_pkt.router_id = rid 1;
+         area_id = Ipv4_addr.any;
+         payload =
+           Ospf_pkt.Db_desc
+             {
+               mtu = 1500;
+               dd_init = false;
+               dd_more = false;
+               dd_master = true;
+               dd_seq = 1l;
+               headers = [ { h with Ospf_pkt.h_seq = Int32.succ h.Ospf_pkt.h_seq } ];
+             };
+       });
+  Alcotest.(check bool) "neighbour back in Loading" true
+    (List.exists
+       (fun (ni : Ospfd.neighbor_info) -> ni.Ospfd.ni_state = Ospfd.Loading)
+       (Ospfd.neighbors d));
+  ignore (Ospfd.spf_now d);
+  let inc = ospf_content rib in
+  ignore (Ospfd.spf_now_full d);
+  check_routes "incremental = full" (ospf_content rib) inc;
+  Alcotest.(check int) "no route through a Loading neighbour" 0 (List.length inc)
+
+(* The daemon-level oracle on a live network: a ring of routers that
+   grows one start at a time while random ring links flap and routers
+   restart. After every
+   step each running router catches up with an incremental SPF run, and
+   its RIB must equal what [spf_now_full] publishes from scratch, and a
+   wholesale [Rib.replace_proto] of its route list. *)
+let prop_ospfd_ring_growth_matches_full =
+  QCheck.Test.make ~name:"ospfd ring growth and link flaps leave oracle RIB"
+    ~count:25
+    QCheck.(
+      pair (int_range 3 7)
+        (list_of_size (Gen.int_range 1 16)
+           (triple (int_bound 4) (int_bound 6) (int_range 1 8))))
+    (fun (n, ops) ->
+      let engine = Engine.create () in
+      let ribs = Array.init n (fun _ -> Rib.create ()) in
+      let routers =
+        Array.init n (fun i ->
+            let rid = ip (Printf.sprintf "10.250.2.%d" (i + 1)) in
+            Ospfd.create engine (Ospfd.default_config ~router_id:rid) ribs.(i))
+      in
+      Array.iteri
+        (fun i d ->
+          Ospfd.add_interface d ~passive:true
+            (Iface.create
+               ~name:(Printf.sprintf "stub%d" i)
+               ~mac:(Mac.make_local (7500 + i))
+               ~ip:(ip (Printf.sprintf "10.7.%d.1" i))
+               ~prefix_len:24 ()))
+        routers;
+      (* Ring link i joins router i and router (i + 1) mod n. *)
+      let links =
+        Array.init n (fun i ->
+            let mk side =
+              Iface.create
+                ~name:(Printf.sprintf "ring%d%c" i side)
+                ~mac:(Mac.make_local (7600 + (2 * i) + if side = 'a' then 0 else 1))
+                ~ip:(ip (Printf.sprintf "172.22.%d.%d" i (if side = 'a' then 1 else 2)))
+                ~prefix_len:30 ()
+            in
+            let a = mk 'a' and b = mk 'b' in
+            ospfd_join engine a b;
+            Ospfd.add_interface routers.(i) a;
+            Ospfd.add_interface routers.((i + 1) mod n) b;
+            (a, b))
+      in
+      let started = ref 0 in
+      let agree d rib =
+        ignore (Ospfd.spf_now d);
+        let inc = ospf_content rib and inc_routes = replace_proto_content d in
+        ignore (Ospfd.spf_now_full d);
+        inc = ospf_content rib && inc = inc_routes
+        && replace_proto_content d = ospf_content rib
+      in
+      List.for_all
+        (fun (kind, l, dt) ->
+          let a, b = links.(l mod n) in
+          (match kind with
+          | 0 | 1 ->
+              if !started < n then begin
+                Ospfd.start routers.(!started);
+                incr started
+              end
+          | 2 ->
+              Iface.set_up a false;
+              Iface.set_up b false
+          | 3 ->
+              Iface.set_up a true;
+              Iface.set_up b true
+          | _ ->
+              (* A restart: neighbours still Full with the old instance
+                 fall back to Loading when its database description
+                 arrives, without re-originating their own LSA. *)
+              if !started > 0 then begin
+                let d = routers.(l mod !started) in
+                Ospfd.stop d;
+                Ospfd.start d
+              end);
+          ignore
+            (Engine.run
+               ~until:(Vtime.add (Engine.now engine) (Vtime.span_s (float_of_int dt)))
+               engine);
+          List.for_all
+            (fun i -> agree routers.(i) ribs.(i))
+            (List.init !started Fun.id))
+        ops)
+
 let suite =
   [
     Alcotest.test_case "trie exact and LPM" `Quick test_trie_exact_and_lpm;
@@ -699,6 +875,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_spf_incremental_matches_full;
     Alcotest.test_case "ospfd incremental SPF leaves oracle RIB" `Quick
       test_ospfd_incremental_rib_oracle;
+    QCheck_alcotest.to_alcotest prop_ospfd_ring_growth_matches_full;
+    Alcotest.test_case "ospfd stops routing through a Loading neighbour" `Quick
+      test_ospfd_loading_neighbour_republishes;
     Alcotest.test_case "ospfd publication spans address halves" `Quick
       test_ospfd_publication_spans_address_halves;
   ]
