@@ -230,9 +230,11 @@ let micro_tests () =
   let _obs_m, obs_tracer, obs_c, obs_h = obs_fixture () in
   let spf_daemon = spf_fixture () in
   (* Steady-state SPF work unit: a far-end router's LSA flaps between
-     two link metrics each iteration, so the incremental path repairs a
-     small subtree while the full-recompute oracle row rebuilds the
-     whole 24-router tree from the LSDB. *)
+     two link metrics each iteration. The first row takes the daemon's
+     usual path: refresh that router's adjacency, rerun the tree and
+     re-publish only the prefixes of routers that moved. The
+     full-recompute oracle row rebuilds the adjacency cache from the
+     whole LSDB and re-publishes every prefix. *)
   let flap_rid = ip "10.255.0.22" in
   let flap_lsa =
     List.find

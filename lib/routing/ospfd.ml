@@ -480,7 +480,7 @@ and run_spf t =
   t.spf_scheduled <- false;
   t.spf_count <- t.spf_count + 1;
   (* Incremental SPF: refresh the adjacency cache for the routers whose
-     LSAs changed, then repair only the affected part of the tree. *)
+     LSAs changed, then rerun the tree and learn which routers moved. *)
   let dirty = Hashtbl.fold (fun rid () acc -> rid :: acc) t.spf_dirty [] in
   Hashtbl.reset t.spf_dirty;
   List.iter (refresh_graph_node t) dirty;

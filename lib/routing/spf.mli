@@ -1,13 +1,12 @@
-(** Incremental shortest-path-first engine.
+(** Shortest-path-first engine.
 
-    Holds the shortest-path tree rooted at one router and repairs it
-    in place when a subset of routers re-originate their LSAs: only
-    the root-side boundary and the invalidated subtree are re-relaxed
-    (warm-start Dijkstra), instead of recomputing from scratch. The
-    full recomputation stays available as {!full} and both paths
-    produce identical results — parents and first hops are derived by
-    a canonical deterministic pass over the (unique) distance map, so
-    equal-cost ties break the same way regardless of relaxation order.
+    Holds the shortest-path tree rooted at one router. Every run is one
+    Dijkstra pass from the root that pops routers in (distance, router
+    id) order and fixes each router's first hop as it settles, so the
+    tree is a function of the graph alone: equal-cost ties break the
+    same way whatever order routers were added or links relaxed.
+    {!update} runs the same pass and reports the routers whose distance
+    or first hop differs from the previous run.
 
     The graph is the router-LSA topology: a directed edge [u -> v]
     with metric [m] exists when [u]'s links list [(v, m)] {e and} [v]'s
@@ -33,21 +32,22 @@ type t
 val create : root:Ipv4_addr.t -> t
 
 val full : t -> graph -> unit
-(** Cold-start: recompute the whole tree from the root. *)
+(** Recompute the whole tree from the root. *)
 
 type change =
-  | All  (** the whole tree was recomputed *)
+  | All  (** the first run, or the root's own links changed *)
   | Routers of Ipv4_addr.t list
-      (** a superset of the routers whose distance or first hop changed,
-          including those that became unreachable (unordered) *)
+      (** exactly the routers whose distance or first hop differs from
+          the previous run, including those that became unreachable
+          (unordered) *)
 
 val update : t -> graph -> dirty:Ipv4_addr.t list -> change
-(** Warm-start: repair the tree given that exactly the routers in
-    [dirty] changed their links since the last run. The caller must
-    have refreshed [graph] for those routers first. Falls back to
-    {!full}, and returns [All], when the tree has never been computed
-    or when the root itself is dirty. Otherwise returns the routers
-    whose place in the tree may have moved, so route publication can
+(** Rerun the tree given that exactly the routers in [dirty] changed
+    their links since the last run. The caller must have refreshed
+    [graph] for those routers first. Returns [All] when the tree has
+    never been computed or when the root itself is dirty, and
+    [Routers []] without a run when [dirty] is empty. Otherwise the
+    result lists the routers that moved, so route publication can
     re-evaluate only what they advertise. *)
 
 val dist : t -> Ipv4_addr.t -> int option

@@ -169,49 +169,6 @@ let test_discovery_counters () =
       Alcotest.(check bool) "link ts" true (Discovery.link_seen_at disc l <> None))
     (Discovery.links disc)
 
-let test_stats_poller_collects () =
-  let engine = Engine.create () in
-  let dp, ctl_end = attach_switch engine 11L 2 in
-  (* Push some traffic so counters are non-zero. *)
-  (match
-     Datapath.handle_flow_mod dp
-       (Of_msg.flow_add Rf_openflow.Of_match.wildcard_all
-          [ Rf_openflow.Of_action.output 2 ])
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "flow mod");
-  Datapath.set_transmit dp ~port:2 (fun _ -> ());
-  let frame =
-    Rf_packet.Packet.udp ~src_mac:(Rf_packet.Mac.make_local 1)
-      ~dst_mac:(Rf_packet.Mac.make_local 2)
-      ~src_ip:(Rf_packet.Ipv4_addr.of_string_exn "1.1.1.1")
-      ~dst_ip:(Rf_packet.Ipv4_addr.of_string_exn "2.2.2.2")
-      (Rf_packet.Udp.make ~src_port:1 ~dst_port:2 (String.make 100 'x'))
-  in
-  for _ = 1 to 10 do
-    Datapath.receive_frame dp ~in_port:1 frame
-  done;
-  let poller =
-    Rf_controller.Stats_poller.create engine ~interval:(Vtime.span_s 5.0) ()
-  in
-  let samples = ref 0 in
-  Rf_controller.Stats_poller.set_on_sample poller (fun _ _ -> incr samples);
-  Rf_controller.Stats_poller.attach poller (Of_conn.create engine ctl_end);
-  ignore (Engine.run ~until:(Vtime.of_s 30.0) engine);
-  Alcotest.(check bool) "several polls" true
-    (Rf_controller.Stats_poller.polls_sent poller >= 4);
-  Alcotest.(check int) "reply per poll"
-    (Rf_controller.Stats_poller.polls_sent poller)
-    (Rf_controller.Stats_poller.replies_received poller);
-  Alcotest.(check bool) "samples delivered" true (!samples > 0);
-  match Rf_controller.Stats_poller.latest_totals poller 11L with
-  | Some totals ->
-      Alcotest.(check int64) "rx packets" 10L totals.Rf_controller.Stats_poller.rx_packets;
-      Alcotest.(check int64) "tx packets" 10L totals.Rf_controller.Stats_poller.tx_packets;
-      Alcotest.(check bool) "bytes counted" true
-        (totals.Rf_controller.Stats_poller.rx_bytes > 1000L)
-  | None -> Alcotest.fail "no totals"
-
 let test_stats_poller_through_flowvisor () =
   (* A third, packetless "monitor" slice carrying only stats traffic:
      FlowVisor's xid translation must route every reply back — and to
@@ -219,13 +176,40 @@ let test_stats_poller_through_flowvisor () =
      when two datapaths answer interleaved polls. *)
   let engine = Engine.create () in
   let fv = Rf_flowvisor.Flowvisor.create engine () in
-  let poller =
-    Rf_controller.Stats_poller.create engine ~interval:(Vtime.span_s 5.0) ()
-  in
+  (* Per monitor connection: xids of the requests not yet answered, and
+     the rx-packet total of each reply, newest first. A reply whose xid
+     this connection never sent counts as stray. *)
+  let conns = ref [] and strays = ref 0 in
   Rf_flowvisor.Flowvisor.add_slice fv
     (Rf_flowvisor.Flowspace.make ~name:"monitor" [])
     ~attach:(fun ~dpid:_ endpoint ->
-      Rf_controller.Stats_poller.attach poller (Of_conn.create engine endpoint));
+      let conn = Of_conn.create engine endpoint in
+      let pending = ref [] and replies = ref [] in
+      Of_conn.set_on_message conn (fun (m : Of_msg.t) ->
+          match m.Of_msg.payload with
+          | Of_msg.Stats_reply (Of_msg.Port_reply stats) ->
+              if List.mem m.xid !pending then begin
+                pending := List.filter (fun x -> x <> m.xid) !pending;
+                replies :=
+                  List.fold_left
+                    (fun acc (ps : Of_msg.port_stats) ->
+                      Int64.add acc ps.ps_rx_packets)
+                    0L stats
+                  :: !replies
+              end
+              else incr strays
+          | _ -> ());
+      conns := (conn, pending, replies) :: !conns);
+  ignore
+    (Engine.periodic engine (Vtime.span_s 5.0) (fun () ->
+         List.iter
+           (fun (conn, pending, _) ->
+             if Of_conn.dpid conn <> None && Of_conn.is_open conn then
+               pending :=
+                 Of_conn.send conn
+                   (Of_msg.Stats_request (Of_msg.Port_req Of_port.none))
+                 :: !pending)
+           !conns));
   let mk_switch dpid traffic =
     let dp = Datapath.create engine ~dpid ~n_ports:2 () in
     let sw_end, ctl_end = Channel.create engine () in
@@ -252,22 +236,29 @@ let test_stats_poller_through_flowvisor () =
   in
   mk_switch 21L 7;
   mk_switch 22L 3;
-  ignore (Engine.run ~until:(Vtime.of_s 30.0) engine);
-  Alcotest.(check bool) "polls through proxy" true
-    (Rf_controller.Stats_poller.polls_sent poller >= 8);
-  Alcotest.(check int) "all replies translated back"
-    (Rf_controller.Stats_poller.polls_sent poller)
-    (Rf_controller.Stats_poller.replies_received poller);
-  (* xid translation preserved attribution: each switch's gauge in the
-     registry carries its own traffic, not the other's. *)
-  let m = Engine.metrics engine in
-  let rx dpid =
-    Rf_obs.Metrics.gauge_value
-      (Rf_obs.Metrics.gauge m ~labels:[ ("dpid", Int64.to_string dpid) ]
-         "port_rx_packets")
-  in
-  Alcotest.(check (float 1e-9)) "sw21 rx attributed" 7.0 (rx 21L);
-  Alcotest.(check (float 1e-9)) "sw22 rx attributed" 3.0 (rx 22L)
+  (* Polls go out every 5 s; stop between polls so each one is answered. *)
+  ignore (Engine.run ~until:(Vtime.of_s 32.0) engine);
+  Alcotest.(check int) "one monitor connection per switch" 2
+    (List.length !conns);
+  Alcotest.(check int) "no reply under a foreign xid" 0 !strays;
+  (* xid translation preserved attribution: every reply on a switch's
+     connection carries that switch's traffic, not the other's. *)
+  List.iter
+    (fun (conn, pending, replies) ->
+      let expect =
+        match Of_conn.dpid conn with
+        | Some 21L -> 7L
+        | Some 22L -> 3L
+        | Some _ | None -> Alcotest.fail "monitor connection without a dpid"
+      in
+      Alcotest.(check bool) "polls through proxy" true
+        (List.length !replies >= 4);
+      Alcotest.(check int) "all replies translated back" 0
+        (List.length !pending);
+      List.iter
+        (fun rx -> Alcotest.(check int64) "rx attributed" expect rx)
+        !replies)
+    !conns
 
 let suite =
   [
@@ -284,8 +275,6 @@ let suite =
       test_discovery_link_recovers;
     Alcotest.test_case "discovery counters and timestamps" `Quick
       test_discovery_counters;
-    Alcotest.test_case "stats poller collects port counters" `Quick
-      test_stats_poller_collects;
     Alcotest.test_case "stats poller through FlowVisor" `Quick
       test_stats_poller_through_flowvisor;
   ]

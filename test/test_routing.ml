@@ -401,11 +401,14 @@ let spf_snapshot t =
     (Spf.reachable t)
 
 (* Random graphs of 4-12 routers, then a mutation sequence: each step
-   rewrites one link (metric 0 = link down, otherwise cost change or
-   link up). After every step the warm-started tree must match a cold
+   either rewrites one link (metric 0 = link down, otherwise cost
+   change or link up) or toggles one router, removing it from the graph
+   or adding it back with its links, so a router keeps its slot while
+   absent. After every step the updated tree must match a cold
    recompute on distances AND canonical first hops — the canonical
-   parent pass makes equal-cost ties deterministic, so exact equality
-   is the contract, not just equal distances. *)
+   parent rule makes equal-cost ties deterministic, so exact equality
+   is the contract, not just equal distances — and [Spf.update] must
+   report exactly the routers whose distance or first hop moved. *)
 let prop_spf_incremental_matches_full =
   QCheck.Test.make
     ~name:"incremental SPF equals full recompute after every mutation"
@@ -415,7 +418,7 @@ let prop_spf_incremental_matches_full =
         (list_of_size (Gen.int_bound 30)
            (triple (int_bound 11) (int_bound 11) (int_range 1 20)))
         (list_of_size (Gen.int_bound 20)
-           (triple (int_bound 11) (int_bound 11) (int_bound 16))))
+           (triple (int_bound 11) (int_bound 11) (int_bound 19))))
     (fun (n, edges, mutations) ->
       let adj = Array.make_matrix n n 0 in
       List.iter
@@ -427,41 +430,96 @@ let prop_spf_incremental_matches_full =
           end)
         edges;
       let g = Spf.graph_create () in
+      let present = Array.make n true in
+      let sync i = if present.(i) then spf_sync g adj n i in
       for i = 0 to n - 1 do
-        spf_sync g adj n i
+        sync i
       done;
       let t = Spf.create ~root:(spf_rid 0) in
       Spf.full t g;
+      let place () =
+        List.init n (fun v -> (Spf.dist t (spf_rid v), Spf.first_hop t (spf_rid v)))
+      in
+      let step dirty =
+        let before = place () in
+        let change = Spf.update t g ~dirty:(List.map spf_rid dirty) in
+        let fresh = Spf.create ~root:(spf_rid 0) in
+        Spf.full fresh g;
+        let after = place () in
+        let moved =
+          List.filteri (fun v _ -> List.nth before v <> List.nth after v)
+            (List.init n spf_rid)
+        in
+        let exact =
+          match change with
+          | Spf.All -> true
+          | Spf.Routers l ->
+              List.sort Ipv4_addr.compare l = List.sort Ipv4_addr.compare moved
+        in
+        spf_snapshot t = spf_snapshot fresh && exact
+      in
       List.for_all
         (fun (a, b, m) ->
           let i = a mod n and j = b mod n in
-          if i = j then true
+          if m > 16 then begin
+            present.(i) <- not present.(i);
+            if present.(i) then sync i else Spf.graph_remove g (spf_rid i);
+            step [ i ]
+          end
+          else if i = j then true
           else begin
             adj.(i).(j) <- m;
             adj.(j).(i) <- m;
-            spf_sync g adj n i;
-            spf_sync g adj n j;
-            let place () =
-              List.init n (fun v ->
-                  (Spf.dist t (spf_rid v), Spf.first_hop t (spf_rid v)))
-            in
-            let before = place () in
-            let change = Spf.update t g ~dirty:[ spf_rid i; spf_rid j ] in
-            let fresh = Spf.create ~root:(spf_rid 0) in
-            Spf.full fresh g;
-            (* Every router whose distance or first hop moved is reported. *)
-            let reported v =
-              match change with
-              | Spf.All -> true
-              | Spf.Routers l -> List.exists (Ipv4_addr.equal (spf_rid v)) l
-            in
-            spf_snapshot t = spf_snapshot fresh
-            && List.for_all2
-                 (fun (v, old) now -> old = now || reported v)
-                 (List.mapi (fun v p -> (v, p)) before)
-                 (place ())
+            sync i;
+            sync j;
+            step [ i; j ]
           end)
         mutations)
+
+(* A router's slot is handed out when a run first reaches it, so two
+   trees grown router by router over the same final graph, in different
+   orders, hold their routers in different slots. Equal-cost ties must
+   still break the same way: on the root's link order and router ids,
+   never on slots. The 4x4 grid has unit metrics and the root in a
+   corner, and the root lists its link to router 4 before the one to
+   router 1, so every router off row 0 ties between the two and must
+   take router 4 as its first hop. *)
+let test_spf_insertion_order () =
+  let w = 4 in
+  let n = w * w in
+  let adj = Array.make_matrix n n 0 in
+  for i = 0 to n - 1 do
+    let link j =
+      adj.(i).(j) <- 10;
+      adj.(j).(i) <- 10
+    in
+    if (i + 1) mod w <> 0 then link (i + 1);
+    if i + w < n then link (i + w)
+  done;
+  let grow order =
+    let g = Spf.graph_create () and t = Spf.create ~root:(spf_rid 0) in
+    List.iter
+      (fun i ->
+        if i = 0 then
+          Spf.graph_set_links g (spf_rid 0) [ (spf_rid w, 10); (spf_rid 1, 10) ]
+        else spf_sync g adj n i;
+        ignore (Spf.update t g ~dirty:[ spf_rid i ]))
+      order;
+    let slot_order = ref [] in
+    Spf.iter t (fun rid _ _ -> slot_order := rid :: !slot_order);
+    (spf_snapshot t, !slot_order)
+  in
+  let forward, forward_slots = grow (List.init n Fun.id) in
+  let backward, backward_slots = grow (0 :: List.init (n - 1) (fun i -> n - 1 - i)) in
+  (* [Spf.iter] walks slots in order: check the test does what it says. *)
+  Alcotest.(check bool) "the orders gave different slots" true
+    (forward_slots <> backward_slots);
+  Alcotest.(check (list (triple string int string))) "same tree both ways"
+    forward backward;
+  Alcotest.(check (list string)) "earliest root link wins ties"
+    (List.init (n - 1) (fun i ->
+         Ipv4_addr.to_string (spf_rid (if i + 1 < w then 1 else w))))
+    (List.map (fun (_, _, hop) -> hop) forward)
 
 (* The daemon-level contract: after a sequence of LSA flaps, the RIB an
    incremental spf_now leaves behind is exactly what spf_now_full (the
@@ -873,6 +931,8 @@ let suite =
       test_zebra_unnumbered_then_addressed;
     Alcotest.test_case "zebra apply_config" `Quick test_zebra_apply_config;
     QCheck_alcotest.to_alcotest prop_spf_incremental_matches_full;
+    Alcotest.test_case "SPF ties ignore router insertion order" `Quick
+      test_spf_insertion_order;
     Alcotest.test_case "ospfd incremental SPF leaves oracle RIB" `Quick
       test_ospfd_incremental_rib_oracle;
     QCheck_alcotest.to_alcotest prop_ospfd_ring_growth_matches_full;
