@@ -135,26 +135,35 @@ let sample_flow_mod_wire =
 
 let sample_lldp_wire = Lldp.to_wire (Lldp.discovery_probe ~dpid:42L ~port:7)
 
-let sample_lsa =
-  {
-    Ospf_pkt.age = 1;
-    options = 2;
-    link_state_id = ip "10.255.0.1";
-    adv_router = ip "10.255.0.1";
-    seq = Ospf_pkt.initial_seq;
-    body =
-      Ospf_pkt.Router
-        {
-          links =
-            List.init 8 (fun i ->
-                {
-                  Ospf_pkt.link_id = ip (Printf.sprintf "10.255.0.%d" (i + 2));
-                  link_data = ip (Printf.sprintf "172.16.%d.1" i);
-                  link_type = Ospf_pkt.Point_to_point;
-                  metric = 10;
-                });
-        };
-  }
+let sample_lsa_body =
+  Ospf_pkt.Router
+    {
+      links =
+        List.init 8 (fun i ->
+            {
+              Ospf_pkt.link_id = ip (Printf.sprintf "10.255.0.%d" (i + 2));
+              link_data = ip (Printf.sprintf "172.16.%d.1" i);
+              link_type = Ospf_pkt.Point_to_point;
+              metric = 10;
+            });
+    }
+
+(* A router LSA with eight point-to-point links, built by the
+   constructor (one encoding plus a Fletcher checksum per call). *)
+let sample_lsa_rid = ip "10.255.0.1"
+
+let make_sample_lsa () =
+  Ospf_pkt.make_lsa ~age:1 ~options:2 ~link_state_id:sample_lsa_rid
+    ~adv_router:sample_lsa_rid ~seq:Ospf_pkt.initial_seq sample_lsa_body
+
+(* The same LSA as a receiver holds it: decoded from the wire. *)
+let sample_lsa_decoded =
+  match
+    Ospf_pkt.lsa_of_wire
+      (Wire.Reader.of_string (Ospf_pkt.lsa_to_wire (make_sample_lsa ())))
+  with
+  | Ok lsa -> lsa
+  | Error e -> failwith e
 
 (* Telemetry substrate: spans, counters and histogram observes sit on
    every hot path now, so their cost must stay in the noise. *)
@@ -263,7 +272,9 @@ let micro_tests () =
       | b -> b
     in
     Rf_routing.Ospfd.install_lsa spf_daemon
-      { flap_lsa with seq = !flap_seq; body }
+      (Ospf_pkt.make_lsa ~age:flap_lsa.age ~options:flap_lsa.options
+         ~link_state_id:flap_lsa.link_state_id ~adv_router:flap_lsa.adv_router
+         ~seq:!flap_seq body)
   in
   let trie = trie_fixture () in
   let table = flow_table_fixture () in
@@ -314,8 +325,27 @@ let micro_tests () =
            match Lldp.of_wire sample_lldp_wire with
            | Ok l -> ignore (Lldp.parse_discovery l)
            | Error e -> failwith e));
+    (* Originating an LSA: encode it and run Fletcher over the bytes. *)
     Test.make ~name:"lsa_encode_fletcher"
-      (Staged.stage (fun () -> ignore (Ospf_pkt.lsa_to_wire sample_lsa)));
+      (Staged.stage (fun () -> ignore (make_sample_lsa ())));
+    (* A received LSA's header, as every DD, LSU and ack comparison reads
+       it: the carried checksum and length, no re-encoding. *)
+    Test.make ~name:"lsa_header_decoded"
+      (Staged.stage (fun () ->
+           ignore (Sys.opaque_identity (Ospf_pkt.header_of_lsa sample_lsa_decoded))));
+    (* The one encoding a flood makes: an LS update carrying a received
+       LSA, written with its carried checksum (no Fletcher pass). The
+       per-interface IPv4/Ethernet framing is not timed. *)
+    Test.make ~name:"ospf_lsu_flood_encode"
+      (Staged.stage
+         (let pkt =
+            {
+              Ospf_pkt.router_id = ip "10.255.0.9";
+              area_id = Ipv4_addr.any;
+              payload = Ospf_pkt.Ls_update [ sample_lsa_decoded ];
+            }
+          in
+          fun () -> ignore (Ospf_pkt.to_wire pkt)));
     Test.make ~name:"rib_update_withdraw"
       (Staged.stage (fun () ->
            Rf_routing.Rib.update rib churn_route;

@@ -19,6 +19,8 @@ type lsa = {
   adv_router : Ipv4_addr.t;
   seq : int32;
   body : lsa_body;
+  checksum : int;
+  length : int;
 }
 
 type lsa_key = { k_type : int; k_id : Ipv4_addr.t; k_adv : Ipv4_addr.t }
@@ -45,23 +47,38 @@ let lsa_type lsa =
 let key_of_lsa lsa =
   { k_type = lsa_type lsa; k_id = lsa.link_state_id; k_adv = lsa.adv_router }
 
-(* Fletcher checksum per RFC 2328 §12.1.7 / RFC 905 Annex B. The region
-   excludes the 2-byte LS age field; [off] is the offset of the checksum
-   field within the region. *)
-let fletcher16 region off =
+(* Fletcher checksum per RFC 2328 §12.1.7 / RFC 905 Annex B, computed
+   in place over the LSA bytes s[pos, pos + len), which exclude the
+   2-byte LS age field; the checksum field sits at offset 14 of that
+   region. The running sums are reduced mod 255 once, at the end: for a
+   16-bit LSA length they stay far below max_int. With [blank] the
+   checksum field counts as zero (computing); without, the sums of a
+   correctly checksummed region are both zero (verifying). *)
+let checksum_off = 14
+
+let fletcher_sums s ~pos ~len ~blank =
+  if pos < 0 || len < checksum_off + 2 || pos + len > String.length s then
+    invalid_arg "Ospf_pkt.fletcher16";
   let c0 = ref 0 and c1 = ref 0 in
-  String.iteri
-    (fun i c ->
-      let b = if i = off || i = off + 1 then 0 else Char.code c in
-      c0 := (!c0 + b) mod 255;
-      c1 := (!c1 + !c0) mod 255)
-    region;
-  let len = String.length region in
-  let x = ((len - off - 1) * !c0 - !c1) mod 255 in
+  for i = pos to pos + len - 1 do
+    let k = i - pos in
+    if not (blank && (k = checksum_off || k = checksum_off + 1)) then
+      c0 := !c0 + Char.code (String.unsafe_get s i);
+    c1 := !c1 + !c0
+  done;
+  (!c0 mod 255, !c1 mod 255)
+
+let fletcher16 s ~pos ~len =
+  let c0, c1 = fletcher_sums s ~pos ~len ~blank:true in
+  let x = ((len - checksum_off - 1) * c0 - c1) mod 255 in
   let x = if x <= 0 then x + 255 else x in
-  let y = 510 - !c0 - x in
+  let y = 510 - c0 - x in
   let y = if y > 255 then y - 255 else if y <= 0 then y + 255 else y in
   (x lsl 8) lor y
+
+let fletcher_ok s ~pos ~len =
+  let c0, c1 = fletcher_sums s ~pos ~len ~blank:false in
+  c0 = 0 && c1 = 0
 
 let link_type_code = function
   | Point_to_point -> 1
@@ -76,9 +93,7 @@ let link_type_of_code = function
   | 4 -> Ok Virtual_link
   | n -> Error (Printf.sprintf "ospf: bad router-link type %d" n)
 
-let encode_body body =
-  let w = Wire.Writer.create ~initial:32 () in
-  (match body with
+let write_body w = function
   | Router { links } ->
       Wire.Writer.u8 w 0 (* V/E/B flags: plain internal router *);
       Wire.Writer.u8 w 0;
@@ -94,40 +109,46 @@ let encode_body body =
   | Network { mask; attached } ->
       Wire.Writer.u32 w (Ipv4_addr.to_int32 mask);
       List.iter (fun r -> Wire.Writer.u32 w (Ipv4_addr.to_int32 r)) attached
-  | Opaque { data; _ } -> Wire.Writer.bytes w data);
-  Wire.Writer.contents w
+  | Opaque { data; _ } -> Wire.Writer.bytes w data
 
 (* An encoded LSA: 20-byte header followed by the body. The checksum
-   field sits at bytes 16-17 of the LSA, i.e. offset 14 of the region
-   that excludes the age field. *)
-let lsa_to_wire lsa =
-  let body = encode_body lsa.body in
-  let length = 20 + String.length body in
-  let w = Wire.Writer.create ~initial:length () in
+   field sits at bytes 16-17 of the LSA and the length at 18-19; both
+   are written as carried. *)
+let write_lsa w lsa =
   Wire.Writer.u16 w lsa.age;
   Wire.Writer.u8 w lsa.options;
   Wire.Writer.u8 w (lsa_type lsa);
   Wire.Writer.u32 w (Ipv4_addr.to_int32 lsa.link_state_id);
   Wire.Writer.u32 w (Ipv4_addr.to_int32 lsa.adv_router);
   Wire.Writer.u32 w lsa.seq;
-  Wire.Writer.u16 w 0 (* checksum placeholder *);
-  Wire.Writer.u16 w length;
-  Wire.Writer.bytes w body;
-  let encoded = Wire.Writer.contents w in
-  let region = String.sub encoded 2 (String.length encoded - 2) in
-  Wire.Writer.patch_u16 w 16 (fletcher16 region 14);
+  Wire.Writer.u16 w lsa.checksum;
+  Wire.Writer.u16 w lsa.length;
+  write_body w lsa.body
+
+let make_lsa ~age ~options ~link_state_id ~adv_router ~seq body =
+  let draft =
+    { age; options; link_state_id; adv_router; seq; body; checksum = 0; length = 0 }
+  in
+  let w = Wire.Writer.create ~initial:64 () in
+  write_lsa w draft;
+  let length = Wire.Writer.length w in
+  Wire.Writer.patch_u16 w 18 length;
+  let checksum = fletcher16 (Wire.Writer.contents w) ~pos:2 ~len:(length - 2) in
+  { draft with checksum; length }
+
+let lsa_to_wire lsa =
+  let w = Wire.Writer.create ~initial:lsa.length () in
+  write_lsa w lsa;
   Wire.Writer.contents w
 
 let header_of_lsa lsa =
-  let encoded = lsa_to_wire lsa in
-  let checksum = (Char.code encoded.[16] lsl 8) lor Char.code encoded.[17] in
   {
     h_age = lsa.age;
     h_options = lsa.options;
     h_key = key_of_lsa lsa;
     h_seq = lsa.seq;
-    h_checksum = checksum;
-    h_length = String.length encoded;
+    h_checksum = lsa.checksum;
+    h_length = lsa.length;
   }
 
 let compare_instance a b =
@@ -147,11 +168,13 @@ let compare_instance a b =
       | c -> c)
   | c -> c
 
+(* Bodies decode only in the form [write_body] emits, so that writing a
+   decoded LSA back reproduces its bytes and its carried checksum. *)
 let decode_body typ r =
   match typ with
   | 1 ->
-      let _flags = Wire.Reader.u8 r in
-      let _zero = Wire.Reader.u8 r in
+      let flags = Wire.Reader.u8 r in
+      let zero = Wire.Reader.u8 r in
       let n = Wire.Reader.u16 r in
       let rec links acc i =
         if i = 0 then Ok (List.rev acc)
@@ -159,15 +182,18 @@ let decode_body typ r =
           let link_id = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
           let link_data = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
           let code = Wire.Reader.u8 r in
-          let _tos = Wire.Reader.u8 r in
+          let tos = Wire.Reader.u8 r in
           let metric = Wire.Reader.u16 r in
-          match link_type_of_code code with
-          | Ok link_type ->
-              links ({ link_id; link_data; link_type; metric } :: acc) (i - 1)
-          | Error e -> Error e
+          if tos <> 0 then Error "ospf: router-link TOS metrics not supported"
+          else
+            match link_type_of_code code with
+            | Ok link_type ->
+                links ({ link_id; link_data; link_type; metric } :: acc) (i - 1)
+            | Error e -> Error e
         end
       in
-      Result.map (fun links -> Router { links }) (links [] n)
+      if flags <> 0 || zero <> 0 then Error "ospf: router LSA flags not supported"
+      else Result.map (fun links -> Router { links }) (links [] n)
   | 2 ->
       let mask = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
       let rec attached acc =
@@ -186,15 +212,21 @@ let lsa_of_wire r =
     let link_state_id = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
     let adv_router = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
     let seq = Wire.Reader.u32 r in
-    let _checksum = Wire.Reader.u16 r in
+    let checksum = Wire.Reader.u16 r in
     let length = Wire.Reader.u16 r in
     if length < 20 then Error "ospf: LSA length too small"
     else begin
-      ignore start;
       let body_reader = Wire.Reader.sub r (length - 20) in
-      Result.map
-        (fun body -> { age; options; link_state_id; adv_router; seq; body })
-        (decode_body typ body_reader)
+      (* RFC 2328 §13 (1): an LSA whose checksum fails is discarded. *)
+      if not (fletcher_ok (Wire.Reader.source r) ~pos:(start + 2) ~len:(length - 2))
+      then Error "ospf: bad LSA checksum"
+      else
+        match decode_body typ body_reader with
+        | Error e -> Error e
+        | Ok _ when Wire.Reader.remaining body_reader > 0 ->
+            Error "ospf: LSA length exceeds its body"
+        | Ok body ->
+            Ok { age; options; link_state_id; adv_router; seq; body; checksum; length }
     end
   with Wire.Truncated -> Error "ospf: truncated LSA"
 
@@ -282,25 +314,22 @@ let encode_payload w = function
         keys
   | Ls_update lsas ->
       Wire.Writer.u32 w (Int32.of_int (List.length lsas));
-      List.iter (fun lsa -> Wire.Writer.bytes w (lsa_to_wire lsa)) lsas
+      List.iter (write_lsa w) lsas
   | Ls_ack headers -> List.iter (lsa_header_to_wire w) headers
 
 let to_wire t =
-  let body = Wire.Writer.create ~initial:64 () in
-  encode_payload body t.payload;
-  let body = Wire.Writer.contents body in
-  let w = Wire.Writer.create ~initial:(24 + String.length body) () in
+  let w = Wire.Writer.create ~initial:128 () in
   Wire.Writer.u8 w 2 (* version *);
   Wire.Writer.u8 w (payload_type t.payload);
-  Wire.Writer.u16 w (24 + String.length body);
+  Wire.Writer.u16 w 0 (* length placeholder *);
   Wire.Writer.u32 w (Ipv4_addr.to_int32 t.router_id);
   Wire.Writer.u32 w (Ipv4_addr.to_int32 t.area_id);
   Wire.Writer.u16 w 0 (* checksum placeholder *);
   Wire.Writer.u16 w 0 (* autype: null *);
   Wire.Writer.u64 w 0L (* auth data *);
-  Wire.Writer.bytes w body;
-  let encoded = Wire.Writer.contents w in
-  Wire.Writer.patch_u16 w 12 (Wire.checksum encoded);
+  encode_payload w t.payload;
+  Wire.Writer.patch_u16 w 2 (Wire.Writer.length w);
+  Wire.Writer.patch_u16 w 12 (Wire.checksum (Wire.Writer.contents w));
   Wire.Writer.contents w
 
 let decode_payload typ r =

@@ -5,7 +5,14 @@
     Hello, Database Description, LS Request, LS Update and LS Ack
     packets, and Router / Network / opaque-body LSAs. LSA checksums use
     the standard Fletcher algorithm; packet checksums use the Internet
-    checksum. *)
+    checksum.
+
+    An {!lsa} carries its own Fletcher checksum and encoded length, the
+    two header fields that depend on the whole encoding. They are set
+    once, where the LSA comes into being: read from the wire by
+    {!lsa_of_wire}, or computed by {!make_lsa} for a locally originated
+    instance. The record is [private], so no code can change a body or
+    sequence number and leave them stale. *)
 
 (** {1 LSAs} *)
 
@@ -23,13 +30,17 @@ type lsa_body =
   | Network of { mask : Ipv4_addr.t; attached : Ipv4_addr.t list }
   | Opaque of { lsa_type : int; data : string }
 
-type lsa = {
+type lsa = private {
   age : int;
   options : int;
   link_state_id : Ipv4_addr.t;
   adv_router : Ipv4_addr.t;
   seq : int32;
   body : lsa_body;
+  checksum : int;
+      (** Fletcher checksum over the encoding without the age field
+          (which is why an instance keeps it as it ages). *)
+  length : int;  (** Encoded bytes, header included. *)
 }
 
 type lsa_key = { k_type : int; k_id : Ipv4_addr.t; k_adv : Ipv4_addr.t }
@@ -50,25 +61,44 @@ val initial_seq : int32
 val max_age : int
 (** 3600 s; an LSA at MaxAge is being flushed. *)
 
+val make_lsa :
+  age:int ->
+  options:int ->
+  link_state_id:Ipv4_addr.t ->
+  adv_router:Ipv4_addr.t ->
+  seq:int32 ->
+  lsa_body ->
+  lsa
+(** A locally originated LSA: encodes it once to compute its length
+    and checksum. [age] (16 bits) and [options] (8 bits) must fit their
+    fields. *)
+
 val lsa_type : lsa -> int
 
 val key_of_lsa : lsa -> lsa_key
 
 val header_of_lsa : lsa -> lsa_header
-(** Computes length and Fletcher checksum of the encoded LSA. *)
+(** O(1): the carried checksum and length, no encoding. *)
 
 val compare_instance : lsa_header -> lsa_header -> int
 (** Per RFC 2328 §13.1: positive when the first header denotes the more
     recent instance (sequence, then checksum, then age). *)
 
 val lsa_to_wire : lsa -> string
+(** Writes the carried checksum and length; runs no checksum. *)
 
 val lsa_of_wire : Wire.Reader.t -> (lsa, string) result
+(** Keeps the checksum and length read from the wire. Rejects, per RFC
+    2328 §13 (1), an LSA whose Fletcher checksum does not verify. It
+    also rejects encodings that {!lsa_to_wire} would not reproduce byte
+    for byte (router flags, TOS metrics, bytes past the body), so a
+    decoded LSA always re-encodes to the bytes its checksum covers. *)
 
-val fletcher16 : string -> int -> int
-(** [fletcher16 region checksum_offset]: checksum of [region] with the
-    16-bit field at [checksum_offset] treated as the value to solve
-    for. Exposed for tests. *)
+val fletcher16 : string -> pos:int -> len:int -> int
+(** [fletcher16 s ~pos ~len]: the checksum of the LSA bytes
+    [s.[pos] .. s.[pos + len - 1]], which exclude the 2-byte age field,
+    with the checksum field at offset 14 of that region treated as the
+    value to solve for. Reads [s] in place. Exposed for tests. *)
 
 (** {1 Packets} *)
 

@@ -81,10 +81,9 @@ let icmp ~src_mac ~dst_mac ~src_ip ~dst_ip ?(ttl = 64) i =
     (Ipv4.make ~ttl ~protocol:Ipv4.proto_icmp ~src:src_ip ~dst:dst_ip
        (Icmp.to_wire i))
 
-let ospf ~src_mac ~dst_mac ~src_ip ~dst_ip o =
+let ospf ~src_mac ~dst_mac ~src_ip ~dst_ip wire =
   ipv4 ~src_mac ~dst_mac
-    (Ipv4.make ~ttl:1 ~protocol:Ipv4.proto_ospf ~src:src_ip ~dst:dst_ip
-       (Ospf_pkt.to_wire o))
+    (Ipv4.make ~ttl:1 ~protocol:Ipv4.proto_ospf ~src:src_ip ~dst:dst_ip wire)
 
 let pp ppf t =
   match t.l3 with

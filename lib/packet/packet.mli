@@ -57,8 +57,10 @@ val ospf :
   dst_mac:Mac.t ->
   src_ip:Ipv4_addr.t ->
   dst_ip:Ipv4_addr.t ->
-  Ospf_pkt.t ->
+  string ->
   string
-(** OSPF rides directly on IPv4 with TTL 1. *)
+(** Frames an encoded OSPF packet ({!Ospf_pkt.to_wire}): OSPF rides
+    directly on IPv4 with TTL 1. Taking the bytes lets a sender encode
+    a packet once and frame it for several interfaces. *)
 
 val pp : Format.formatter -> t -> unit

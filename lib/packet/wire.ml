@@ -70,6 +70,8 @@ module Reader = struct
 
   let pos r = r.pos
 
+  let source r = r.src
+
   let check r n = if r.pos + n > r.limit then raise Truncated
 
   let u8 r =

@@ -47,6 +47,10 @@ module Reader : sig
   val pos : t -> int
   (** Absolute offset within the underlying string. *)
 
+  val source : t -> string
+  (** The underlying string, which [pos] indexes: lets a codec check a
+      region it has read (e.g. a checksum) without copying it. *)
+
   val u8 : t -> int
 
   val u16 : t -> int

@@ -278,11 +278,6 @@ let add_on_flows_changed t f = t.flow_listeners <- f :: t.flow_listeners
 
 (* --- data plane ----------------------------------------------------- *)
 
-let my_addresses t =
-  Array.to_list t.nics
-  |> List.filter_map (fun ifc ->
-         if Iface.is_addressed ifc then Some (Iface.ip ifc) else None)
-
 let learn t port ip mac =
   if not (Ipv4_addr.equal ip Ipv4_addr.any) then begin
     let key = (port, ip) in
@@ -351,46 +346,51 @@ let forward_ipv4 t (ip : Ipv4.t) =
                     (Packet.ipv4 ~src_mac:(Iface.mac ifc) ~dst_mac:mac ip)
               | None -> enqueue_pending t port next_hop ip)))
 
-let handle_frame t port frame =
+(* Whether [dst] is the configured address of nics.(i) or a later NIC:
+   a top-level loop rather than [Array.exists] with a closure, so the
+   per-frame local-delivery check allocates nothing. *)
+let rec local_from nics dst i =
+  i < Array.length nics
+  && ((Iface.is_addressed nics.(i) && Ipv4_addr.equal (Iface.ip nics.(i)) dst)
+     || local_from nics dst (i + 1))
+
+let handle_frame t port (pkt : Packet.t) =
   let ifc = nic t port in
-  match Packet.parse frame with
-  | Error _ -> ()
-  | Ok pkt -> (
-      match pkt.l3 with
-      | Packet.Arp a ->
-          if Iface.is_addressed ifc && Ipv4_addr.Prefix.mem a.sender_ip (Iface.prefix ifc)
-          then learn t port a.sender_ip a.sender_mac;
-          (match a.op with
-          | Arp.Request
-            when Iface.is_addressed ifc && Ipv4_addr.equal a.target_ip (Iface.ip ifc)
-            ->
-              Iface.send ifc
-                (Packet.arp ~src:(Iface.mac ifc) ~dst:a.sender_mac
-                   (Arp.reply ~sender_mac:(Iface.mac ifc)
-                      ~sender_ip:(Iface.ip ifc) ~target_mac:a.sender_mac
-                      ~target_ip:a.sender_ip))
-          | Arp.Request | Arp.Reply -> ())
-      | Packet.Ipv4 (ip, l4) ->
-          (* Passive neighbour learning from any on-subnet source. *)
-          if Iface.is_addressed ifc && Ipv4_addr.Prefix.mem ip.src (Iface.prefix ifc)
-          then learn t port ip.src pkt.eth.src;
-          if List.exists (Ipv4_addr.equal ip.dst) (my_addresses t) then begin
-            (* Local delivery: the guest answers pings; OSPF packets are
-               consumed by ospfd's own receiver. *)
-            match l4 with
-            | Packet.Icmp (Icmp.Echo_request { ident; seq; payload }) ->
-                Iface.send ifc
-                  (Packet.icmp ~src_mac:(Iface.mac ifc) ~dst_mac:pkt.eth.src
-                     ~src_ip:ip.dst ~dst_ip:ip.src
-                     (Icmp.Echo_reply { ident; seq; payload }))
-            | Packet.Icmp _ | Packet.Udp _ | Packet.Tcp _ | Packet.Ospf _
-            | Packet.Raw_l4 _ ->
-                ()
-          end
-          else if Ipv4_addr.is_multicast ip.dst then ()
-          else if Mac.equal pkt.eth.dst (Iface.mac ifc) || Mac.is_broadcast pkt.eth.dst
-          then forward_ipv4 t ip
-      | Packet.Lldp _ | Packet.Raw_l3 _ -> ())
+  match pkt.l3 with
+  | Packet.Arp a ->
+      if Iface.is_addressed ifc && Ipv4_addr.Prefix.mem a.sender_ip (Iface.prefix ifc)
+      then learn t port a.sender_ip a.sender_mac;
+      (match a.op with
+      | Arp.Request
+        when Iface.is_addressed ifc && Ipv4_addr.equal a.target_ip (Iface.ip ifc)
+        ->
+          Iface.send ifc
+            (Packet.arp ~src:(Iface.mac ifc) ~dst:a.sender_mac
+               (Arp.reply ~sender_mac:(Iface.mac ifc)
+                  ~sender_ip:(Iface.ip ifc) ~target_mac:a.sender_mac
+                  ~target_ip:a.sender_ip))
+      | Arp.Request | Arp.Reply -> ())
+  | Packet.Ipv4 (ip, l4) ->
+      (* Passive neighbour learning from any on-subnet source. *)
+      if Iface.is_addressed ifc && Ipv4_addr.Prefix.mem ip.src (Iface.prefix ifc)
+      then learn t port ip.src pkt.eth.src;
+      if local_from t.nics ip.dst 0 then begin
+        (* Local delivery: the guest answers pings; OSPF packets are
+           consumed by ospfd's own receiver. *)
+        match l4 with
+        | Packet.Icmp (Icmp.Echo_request { ident; seq; payload }) ->
+            Iface.send ifc
+              (Packet.icmp ~src_mac:(Iface.mac ifc) ~dst_mac:pkt.eth.src
+                 ~src_ip:ip.dst ~dst_ip:ip.src
+                 (Icmp.Echo_reply { ident; seq; payload }))
+        | Packet.Icmp _ | Packet.Udp _ | Packet.Tcp _ | Packet.Ospf _
+        | Packet.Raw_l4 _ ->
+            ()
+      end
+      else if Ipv4_addr.is_multicast ip.dst then ()
+      else if Mac.equal pkt.eth.dst (Iface.mac ifc) || Mac.is_broadcast pkt.eth.dst
+      then forward_ipv4 t ip
+  | Packet.Lldp _ | Packet.Raw_l3 _ -> ()
 
 let create engine ~dpid ~n_ports () =
   if n_ports < 1 then invalid_arg "Vm.create: need at least one port";

@@ -2,8 +2,9 @@
 
     An interface carries raw Ethernet frames: the owner wires
     [set_transmit] to the virtual switch, and protocol stacks register
-    receivers. Every receiver sees every incoming frame and filters for
-    itself.
+    receivers. Bytes cross every hop; [deliver] parses each arriving
+    frame once and hands the same {!Packet.t} to every receiver, which
+    filters for itself.
 
     NICs are created unnumbered (0.0.0.0/0) — the RouteFlow VM gets its
     addresses later, from the RPC server's link-up configuration — so
@@ -47,10 +48,12 @@ val send : t -> string -> unit
 (** Drops silently when down or unwired. *)
 
 val deliver : t -> string -> unit
-(** A frame arrived from the wire; fans out to receivers unless the
-    interface is down. *)
+(** A frame arrived from the wire. Unless the interface is down it
+    counts in {!frames_received}, is parsed once, and the parsed packet
+    fans out to the receivers in registration order. A frame that does
+    not parse reaches no receiver. *)
 
-val add_receiver : t -> (string -> unit) -> unit
+val add_receiver : t -> (Packet.t -> unit) -> unit
 
 val add_state_listener : t -> (bool -> unit) -> unit
 

@@ -142,13 +142,18 @@ let router_id t = t.cfg.router_id
 
 let set_on_route_change t f = t.on_route_change <- f
 
-let send_pkt t (oif : oiface) payload =
-  let pkt =
+let encode t payload =
+  Ospf_pkt.to_wire
     { Ospf_pkt.router_id = t.cfg.router_id; area_id = t.cfg.area_id; payload }
-  in
-  Iface.send oif.ifc
-    (Packet.ospf ~src_mac:(Iface.mac oif.ifc) ~dst_mac:ospf_multicast_mac
-       ~src_ip:(Iface.ip oif.ifc) ~dst_ip:Ipv4_addr.ospf_all_routers pkt)
+
+(* The OSPF checksum covers the OSPF packet alone, so one encoding can
+   be framed for any interface. *)
+let frame_for (oif : oiface) wire =
+  Packet.ospf ~src_mac:(Iface.mac oif.ifc) ~dst_mac:ospf_multicast_mac
+    ~src_ip:(Iface.ip oif.ifc) ~dst_ip:Ipv4_addr.ospf_all_routers wire
+
+let send_pkt t (oif : oiface) payload =
+  Iface.send oif.ifc (frame_for oif (encode t payload))
 
 (* --- hello ------------------------------------------------------- *)
 
@@ -204,6 +209,8 @@ let arm_rxmt t nbr =
 let flood t ?except lsa =
   Rf_obs.Metrics.incr t.m_floods;
   let key = Ospf_pkt.key_of_lsa lsa in
+  (* Encoded once, at the first interface with someone to flood to. *)
+  let wire = lazy (encode t (Ospf_pkt.Ls_update [ lsa ])) in
   List.iter
     (fun oif ->
       let skip =
@@ -221,7 +228,7 @@ let flood t ?except lsa =
             (neighbors_on t oif)
         in
         if targets <> [] then begin
-          send_pkt t oif (Ospf_pkt.Ls_update [ lsa ]);
+          Iface.send oif.ifc (frame_for oif (Lazy.force wire));
           List.iter
             (fun n ->
               Hashtbl.replace n.n_rxmt key ();
@@ -551,14 +558,9 @@ let originate_router_lsa t =
   in
   t.my_seq <- Int32.add t.my_seq 1l;
   let lsa =
-    {
-      Ospf_pkt.age = 1;
-      options = 0x02;
-      link_state_id = t.cfg.router_id;
-      adv_router = t.cfg.router_id;
-      seq = t.my_seq;
-      body = Ospf_pkt.Router { links };
-    }
+    Ospf_pkt.make_lsa ~age:1 ~options:0x02 ~link_state_id:t.cfg.router_id
+      ~adv_router:t.cfg.router_id ~seq:t.my_seq
+      (Ospf_pkt.Router { links })
   in
   install_lsa t lsa;
   flood t lsa
@@ -806,14 +808,13 @@ let add_interface t ?cost ?(passive = false) ifc =
       r_next_hop = None;
       r_iface = Iface.name ifc;
     };
-  Iface.add_receiver ifc (fun frame ->
-      match Packet.parse frame with
-      | Ok { l3 = Packet.Ipv4 (ip, Packet.Ospf pkt); _ } ->
-          if
-            Ipv4_addr.equal ip.dst Ipv4_addr.ospf_all_routers
-            || Ipv4_addr.equal ip.dst (Iface.ip ifc)
-          then handle_packet t oif ~src:ip.src pkt
-      | Ok _ | Error _ -> ());
+  Iface.add_receiver ifc (function
+    | { Packet.l3 = Packet.Ipv4 (ip, Packet.Ospf pkt); _ } ->
+        if
+          Ipv4_addr.equal ip.dst Ipv4_addr.ospf_all_routers
+          || Ipv4_addr.equal ip.dst (Iface.ip ifc)
+        then handle_packet t oif ~src:ip.src pkt
+    | _ -> ());
   (* Interface state drives immediate reconvergence: a downed link
      kills its adjacencies and re-originates at once instead of waiting
      out the dead interval. *)
@@ -866,14 +867,10 @@ let stop t =
        instead of waiting out the dead interval. *)
     t.my_seq <- Int32.add t.my_seq 1l;
     let flush =
-      {
-        Ospf_pkt.age = Ospf_pkt.max_age;
-        options = 0x02;
-        link_state_id = t.cfg.router_id;
-        adv_router = t.cfg.router_id;
-        seq = t.my_seq;
-        body = Ospf_pkt.Router { links = [] };
-      }
+      Ospf_pkt.make_lsa ~age:Ospf_pkt.max_age ~options:0x02
+        ~link_state_id:t.cfg.router_id ~adv_router:t.cfg.router_id
+        ~seq:t.my_seq
+        (Ospf_pkt.Router { links = [] })
     in
     Hashtbl.remove t.lsdb
       { Ospf_pkt.k_type = 1; k_id = t.cfg.router_id; k_adv = t.cfg.router_id };

@@ -222,15 +222,14 @@ let add_interface t ?(passive = false) ifc =
       r_next_hop = None;
       r_iface = Iface.name ifc;
     };
-  Iface.add_receiver ifc (fun frame ->
-      match Packet.parse frame with
-      | Ok { l3 = Packet.Ipv4 (iph, Packet.Udp u); _ }
-        when u.Udp.dst_port = Rip_pkt.port
-             && not (Ipv4_addr.equal iph.Ipv4.src (Iface.ip ifc)) -> (
-          match Rip_pkt.of_wire u.Udp.payload with
-          | Ok pkt -> handle_packet t rif ~src:iph.Ipv4.src pkt
-          | Error _ -> ())
-      | Ok _ | Error _ -> ());
+  Iface.add_receiver ifc (function
+    | { Packet.l3 = Packet.Ipv4 (iph, Packet.Udp u); _ }
+      when u.Udp.dst_port = Rip_pkt.port
+           && not (Ipv4_addr.equal iph.Ipv4.src (Iface.ip ifc)) -> (
+        match Rip_pkt.of_wire u.Udp.payload with
+        | Ok pkt -> handle_packet t rif ~src:iph.Ipv4.src pkt
+        | Error _ -> ())
+    | _ -> ());
   Iface.add_state_listener ifc (fun up ->
       if not up then
         Hashtbl.iter

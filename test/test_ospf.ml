@@ -335,6 +335,75 @@ let test_show_rendering () =
   Alcotest.(check bool) "lsdb rows" true
     (Astring_contains.contains db_text "10.255.0.2")
 
+(* A flood out of a three-interface router: one LS update per
+   interface, each carrying exactly [Ospf_pkt.to_wire] of the expected
+   packet (the OSPF checksum covers the OSPF packet alone, so one
+   encoding serves every interface), each from its own interface's
+   address. *)
+let test_flood_frames_share_one_encoding () =
+  let engine = Engine.create () in
+  let hub = make_router engine 1 in
+  let capturing = ref false and captured = ref [] in
+  let hub_ifaces =
+    List.init 3 (fun k ->
+        let leaf = make_router engine (k + 2) in
+        let mk name last =
+          Iface.create ~name
+            ~mac:(Mac.make_local (3100 + (2 * k) + last))
+            ~ip:(ip (Printf.sprintf "172.17.%d.%d" k last))
+            ~prefix_len:30 ()
+        in
+        let mine = mk (Printf.sprintf "hub%d" k) 1
+        and theirs = mk (Printf.sprintf "leaf%d" k) 2 in
+        let wire src dst frame =
+          ignore
+            (Engine.schedule engine (Vtime.span_ms 1) (fun () ->
+                 Iface.deliver dst frame));
+          if !capturing && src == mine then captured := (mine, frame) :: !captured
+        in
+        Iface.set_transmit mine (wire mine theirs);
+        Iface.set_transmit theirs (wire theirs mine);
+        Ospfd.add_interface hub.ospf mine;
+        Ospfd.add_interface leaf.ospf theirs;
+        Ospfd.start leaf.ospf;
+        mine)
+  in
+  Ospfd.start hub.ospf;
+  run_for engine 30.;
+  Alcotest.(check int) "three Full neighbours" 3 (Ospfd.full_neighbor_count hub.ospf);
+  (* A new passive network re-originates the hub's router LSA and
+     floods it out of the three active interfaces, synchronously. *)
+  capturing := true;
+  Ospfd.add_interface hub.ospf ~passive:true
+    (Iface.create ~name:"stub" ~mac:(Mac.make_local 3199) ~ip:(ip "10.9.9.1")
+       ~prefix_len:24 ());
+  capturing := false;
+  let lsa =
+    List.find
+      (fun (l : Ospf_pkt.lsa) -> Ipv4_addr.equal l.adv_router hub.rid)
+      (Ospfd.lsdb hub.ospf)
+  in
+  let expected =
+    Ospf_pkt.to_wire
+      { Ospf_pkt.router_id = hub.rid; area_id = Ipv4_addr.any;
+        payload = Ospf_pkt.Ls_update [ lsa ] }
+  in
+  let sent = List.rev !captured in
+  Alcotest.(check (list string)) "one frame per interface"
+    (List.map Iface.name hub_ifaces)
+    (List.map (fun (ifc, _) -> Iface.name ifc) sent);
+  List.iter
+    (fun (ifc, frame) ->
+      match Packet.parse frame with
+      | Ok { l3 = Packet.Ipv4 (iph, Packet.Ospf _); _ } ->
+          Alcotest.(check string) "source is the interface address"
+            (Ipv4_addr.to_string (Iface.ip ifc))
+            (Ipv4_addr.to_string iph.Ipv4.src);
+          Alcotest.(check bool) "OSPF payload = to_wire of the LS update" true
+            (String.equal iph.Ipv4.payload expected)
+      | Ok _ | Error _ -> Alcotest.fail "flood frame is not an OSPF packet")
+    sent
+
 let suite =
   [
     Alcotest.test_case "two routers reach Full" `Quick test_two_routers_full;
@@ -353,4 +422,6 @@ let suite =
       test_graceful_shutdown_fast_withdraw;
     Alcotest.test_case "hello parameter mismatch blocks adjacency" `Quick
       test_hello_mismatch_blocks_adjacency;
+    Alcotest.test_case "flood frames share one OSPF encoding" `Quick
+      test_flood_frames_share_one_encoding;
   ]

@@ -257,25 +257,20 @@ let test_lldp_generic_tlvs () =
 
 (* --- OSPF ---------------------------------------------------------------------- *)
 
-let router_lsa =
-  {
-    Ospf_pkt.age = 1;
-    options = 2;
-    link_state_id = ip "10.255.0.1";
-    adv_router = ip "10.255.0.1";
-    seq = Ospf_pkt.initial_seq;
-    body =
-      Ospf_pkt.Router
-        {
-          links =
-            [
-              { Ospf_pkt.link_id = ip "10.255.0.2"; link_data = ip "172.16.0.1";
-                link_type = Ospf_pkt.Point_to_point; metric = 10 };
-              { Ospf_pkt.link_id = ip "172.16.0.0"; link_data = ip "255.255.255.252";
-                link_type = Ospf_pkt.Stub; metric = 10 };
-            ];
-        };
-  }
+let router_links =
+  [
+    { Ospf_pkt.link_id = ip "10.255.0.2"; link_data = ip "172.16.0.1";
+      link_type = Ospf_pkt.Point_to_point; metric = 10 };
+    { Ospf_pkt.link_id = ip "172.16.0.0"; link_data = ip "255.255.255.252";
+      link_type = Ospf_pkt.Stub; metric = 10 };
+  ]
+
+let router_lsa_seq seq =
+  Ospf_pkt.make_lsa ~age:1 ~options:2 ~link_state_id:(ip "10.255.0.1")
+    ~adv_router:(ip "10.255.0.1") ~seq
+    (Ospf_pkt.Router { links = router_links })
+
+let router_lsa = router_lsa_seq Ospf_pkt.initial_seq
 
 let test_ospf_hello_roundtrip () =
   let pkt =
@@ -364,18 +359,69 @@ let test_ospf_checksum_rejects_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted corrupted OSPF packet"
 
+(* RFC 2328 §13 (1): an LSA whose Fletcher checksum fails is dropped,
+   even inside a packet whose own checksum is right. *)
+let test_lsu_rejects_corrupt_lsa () =
+  let wire =
+    Ospf_pkt.to_wire
+      { Ospf_pkt.router_id = ip "10.255.0.1"; area_id = Ipv4_addr.any;
+        payload = Ospf_pkt.Ls_update [ router_lsa ] }
+  in
+  (match Ospf_pkt.of_wire wire with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  (* 24-byte OSPF header, 4-byte LSA count, 20-byte LSA header, 4 bytes
+     of router-LSA flags and link count: flip the first link's id. *)
+  let bad = Bytes.of_string wire in
+  Bytes.set bad 52 (Char.chr (Char.code (Bytes.get bad 52) lxor 0x01));
+  Bytes.set bad 12 '\000';
+  Bytes.set bad 13 '\000';
+  let csum = Wire.checksum (Bytes.to_string bad) in
+  Bytes.set bad 12 (Char.chr (csum lsr 8));
+  Bytes.set bad 13 (Char.chr (csum land 0xff));
+  match Ospf_pkt.of_wire (Bytes.to_string bad) with
+  | Error e -> Alcotest.(check string) "reason" "ospf: bad LSA checksum" e
+  | Ok _ -> Alcotest.fail "accepted an LSA with a bad checksum"
+
+(* The decoder takes only what the encoder writes back byte for byte,
+   so a decoded LSA's carried checksum always covers its re-encoding:
+   trailing bytes and router flags are refused even when the checksum
+   is right. *)
+let test_lsa_decode_refuses_non_canonical () =
+  let reseal b =
+    let len = Bytes.length b in
+    Bytes.set b 18 (Char.chr (len lsr 8));
+    Bytes.set b 19 (Char.chr (len land 0xff));
+    let c = Ospf_pkt.fletcher16 (Bytes.to_string b) ~pos:2 ~len:(len - 2) in
+    Bytes.set b 16 (Char.chr (c lsr 8));
+    Bytes.set b 17 (Char.chr (c land 0xff));
+    Ospf_pkt.lsa_of_wire (Wire.Reader.of_string (Bytes.to_string b))
+  in
+  let wire = Ospf_pkt.lsa_to_wire router_lsa in
+  (match reseal (Bytes.of_string wire) with
+  | Ok lsa -> Alcotest.(check string) "resealed copy re-encodes" wire (Ospf_pkt.lsa_to_wire lsa)
+  | Error e -> Alcotest.fail e);
+  (match reseal (Bytes.of_string (wire ^ "\000\000")) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted bytes past the router links");
+  let flagged = Bytes.of_string wire in
+  Bytes.set flagged 20 '\001';
+  match reseal flagged with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted router flags it cannot re-encode"
+
 let test_lsa_fletcher_self_verifies () =
   (* The Fletcher checksum of the encoded LSA (excluding the age word,
      checksum field included) must be zero-valid: recomputing over the
      region with the stored checksum yields the stored checksum. *)
   let wire = Ospf_pkt.lsa_to_wire router_lsa in
-  let region = String.sub wire 2 (String.length wire - 2) in
   let stored = (Char.code wire.[16] lsl 8) lor Char.code wire.[17] in
-  Alcotest.(check int) "recompute matches" stored (Ospf_pkt.fletcher16 region 14)
+  Alcotest.(check int) "recompute matches" stored
+    (Ospf_pkt.fletcher16 wire ~pos:2 ~len:(String.length wire - 2))
 
 let test_compare_instance () =
   let h1 = Ospf_pkt.header_of_lsa router_lsa in
-  let newer = { router_lsa with Ospf_pkt.seq = Int32.add router_lsa.Ospf_pkt.seq 1l } in
+  let newer = router_lsa_seq (Int32.add router_lsa.Ospf_pkt.seq 1l) in
   let h2 = Ospf_pkt.header_of_lsa newer in
   Alcotest.(check bool) "newer wins" true (Ospf_pkt.compare_instance h2 h1 > 0);
   Alcotest.(check int) "same instance" 0 (Ospf_pkt.compare_instance h1 h1)
@@ -451,14 +497,10 @@ let prop_router_lsa_roundtrip =
           raw_links
       in
       let lsa =
-        {
-          Ospf_pkt.age = 1;
-          options = 2;
-          link_state_id = ip "10.255.0.1";
-          adv_router = ip "10.255.0.1";
-          seq = Int32.add Ospf_pkt.initial_seq (Int32.of_int seq_off);
-          body = Ospf_pkt.Router { links };
-        }
+        Ospf_pkt.make_lsa ~age:1 ~options:2 ~link_state_id:(ip "10.255.0.1")
+          ~adv_router:(ip "10.255.0.1")
+          ~seq:(Int32.add Ospf_pkt.initial_seq (Int32.of_int seq_off))
+          (Ospf_pkt.Router { links })
       in
       let pkt =
         { Ospf_pkt.router_id = ip "10.255.0.1"; area_id = Ipv4_addr.any;
@@ -537,6 +579,10 @@ let suite =
       test_ospf_checksum_rejects_corruption;
     Alcotest.test_case "lsa fletcher self-verifies" `Quick
       test_lsa_fletcher_self_verifies;
+    Alcotest.test_case "ls-update with a corrupt lsa is rejected" `Quick
+      test_lsu_rejects_corrupt_lsa;
+    Alcotest.test_case "lsa decode refuses non-canonical bodies" `Quick
+      test_lsa_decode_refuses_non_canonical;
     Alcotest.test_case "lsa instance comparison" `Quick test_compare_instance;
     Alcotest.test_case "whole-frame udp parse" `Quick test_packet_parse_udp;
     Alcotest.test_case "unknown ethertype degrades to raw" `Quick

@@ -1,7 +1,8 @@
 (* Property-based tests: the OpenFlow wire codec round-trips every
    message it can emit, the framer is insensitive to TCP segmentation,
-   address parsing round-trips, and the prefix trie agrees with a
-   naive longest-prefix-match scan. *)
+   address parsing round-trips, an LSA's carried checksum and length
+   match its encoding, and the prefix trie agrees with a naive
+   longest-prefix-match scan. *)
 
 open Rf_openflow
 open Rf_packet
@@ -351,6 +352,66 @@ let prefix_roundtrip =
       | Some p' -> Ipv4_addr.Prefix.equal p p'
       | None -> false)
 
+(* --- OSPF LSAs: carried checksum and length ---------------------------- *)
+
+let gen_link_type =
+  G.oneofl Ospf_pkt.[ Point_to_point; Transit; Stub; Virtual_link ]
+
+let gen_router_link =
+  G.map
+    (fun (link_id, link_data, link_type, metric) ->
+      { Ospf_pkt.link_id; link_data; link_type; metric })
+    (G.quad gen_ip gen_ip gen_link_type gen_u16)
+
+(* Types 1 and 2 decode as Router and Network, so opaque bodies take
+   the other type codes. *)
+let gen_lsa_body =
+  G.oneof
+    [
+      G.map
+        (fun links -> Ospf_pkt.Router { links })
+        (G.list_size (G.int_range 0 8) gen_router_link);
+      G.map2
+        (fun mask attached -> Ospf_pkt.Network { mask; attached })
+        gen_ip
+        (G.list_size (G.int_range 0 8) gen_ip);
+      G.map2
+        (fun lsa_type data -> Ospf_pkt.Opaque { lsa_type; data })
+        (G.int_range 3 255) gen_small_string;
+    ]
+
+let gen_lsa =
+  G.map
+    (fun ((age, options, seq), (link_state_id, adv_router, body)) ->
+      Ospf_pkt.make_lsa ~age ~options ~link_state_id ~adv_router ~seq body)
+    (G.pair (G.triple gen_u16 gen_u8 G.int32) (G.triple gen_ip gen_ip gen_lsa_body))
+
+let print_lsa lsa =
+  Format.asprintf "%a len=%d csum=%04x" Ospf_pkt.pp_lsa lsa lsa.Ospf_pkt.length
+    lsa.Ospf_pkt.checksum
+
+(* The oracle is the encoding: the header a constructed LSA carries must
+   be what its bytes say (Fletcher recomputed from them), decoding must
+   carry the same header, and the decoded LSA must re-encode to the
+   same bytes. *)
+let lsa_carried_header =
+  prop "LSA carried checksum and length match the wire" gen_lsa print_lsa
+    (fun lsa ->
+      let wire = Ospf_pkt.lsa_to_wire lsa in
+      let h = Ospf_pkt.header_of_lsa lsa in
+      let u16 i = (Char.code wire.[i] lsl 8) lor Char.code wire.[i + 1] in
+      h.Ospf_pkt.h_length = String.length wire
+      && h.Ospf_pkt.h_length = u16 18
+      && h.Ospf_pkt.h_checksum = u16 16
+      && h.Ospf_pkt.h_checksum
+         = Ospf_pkt.fletcher16 wire ~pos:2 ~len:(String.length wire - 2)
+      &&
+      match Ospf_pkt.lsa_of_wire (Wire.Reader.of_string wire) with
+      | Ok decoded ->
+          Ospf_pkt.header_of_lsa decoded = h
+          && String.equal (Ospf_pkt.lsa_to_wire decoded) wire
+      | Error _ -> false)
+
 (* --- prefix trie vs naive LPM ---------------------------------------- *)
 
 let lpm_naive entries ip =
@@ -580,5 +641,6 @@ let suite =
     rpc_exactly_once;
     ipv4_roundtrip;
     prefix_roundtrip;
+    lsa_carried_header;
     trie_vs_naive;
   ]

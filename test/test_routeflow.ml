@@ -430,27 +430,38 @@ let test_rf_vs_virtual_link_and_physical_out () =
   let physical = ref [] in
   Rf_vs.set_physical_out vs (fun ~dpid ~port frame ->
       physical := (dpid, port, frame) :: !physical);
+  (* Receivers get parsed packets: collect each UDP payload. *)
+  let frame payload =
+    Packet.udp ~src_mac:(Mac.make_local 98) ~dst_mac:(Mac.make_local 99)
+      ~src_ip:(ip "10.9.0.1") ~dst_ip:(ip "10.9.0.2")
+      (Udp.make ~src_port:9 ~dst_port:9 payload)
+  in
+  let collect got (p : Packet.t) =
+    match p.l3 with
+    | Packet.Ipv4 (_, Packet.Udp u) -> got := u.Udp.payload :: !got
+    | _ -> Alcotest.fail "receiver got a packet that was not sent"
+  in
   let got2 = ref [] in
-  Iface.add_receiver (Vm.nic vm2 1) (fun f -> got2 := f :: !got2);
+  Iface.add_receiver (Vm.nic vm2 1) (collect got2);
   (* Port 1 has a virtual peer: frame goes VM-to-VM. *)
-  Iface.send (Vm.nic vm1 1) "vframe";
+  Iface.send (Vm.nic vm1 1) (frame "vframe");
   (* Port 2 has none: frame exits to the physical network. *)
-  Iface.send (Vm.nic vm1 2) "pframe";
+  Iface.send (Vm.nic vm1 2) (frame "pframe");
   ignore (Engine.run ~until:(Vtime.of_s 1.0) engine);
   Alcotest.(check (list string)) "virtual delivery" [ "vframe" ] !got2;
   (match !physical with
-  | [ (1L, 2, "pframe") ] -> ()
+  | [ (1L, 2, f) ] when String.equal f (frame "pframe") -> ()
   | _ -> Alcotest.fail "physical out mismatch");
   Alcotest.(check int) "virtual count" 1 (Rf_vs.virtual_frames vs);
   Alcotest.(check int) "physical count" 1 (Rf_vs.physical_out_frames vs);
   (* Injection from physical reaches the NIC. *)
   let got1 = ref [] in
-  Iface.add_receiver (Vm.nic vm1 2) (fun f -> got1 := f :: !got1);
-  Rf_vs.inject_from_physical vs ~dpid:1L ~port:2 "inject";
+  Iface.add_receiver (Vm.nic vm1 2) (collect got1);
+  Rf_vs.inject_from_physical vs ~dpid:1L ~port:2 (frame "inject");
   Alcotest.(check (list string)) "inject" [ "inject" ] !got1;
   (* Disconnect: traffic falls back to physical. *)
   Rf_vs.disconnect_ports vs ~a:(1L, 1) ~b:(2L, 1);
-  Iface.send (Vm.nic vm1 1) "after";
+  Iface.send (Vm.nic vm1 1) (frame "after");
   ignore (Engine.run ~until:(Vtime.of_s 2.0) engine);
   Alcotest.(check int) "no more virtual" 1 (Rf_vs.virtual_frames vs)
 

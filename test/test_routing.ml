@@ -355,6 +355,27 @@ let test_zebra_unnumbered_then_addressed () =
   Alcotest.(check int) "route appears on addressing" 1
     (List.length (Zebra.connected_routes z))
 
+(* Iface.deliver parses a frame once: every receiver gets the same
+   parsed packet, and a frame that does not parse is counted but
+   reaches no receiver. *)
+let test_iface_parses_once () =
+  let ifc = Iface.create ~name:"eth1" ~mac:(Mac.make_local 1) ~ip:(ip "10.0.0.1")
+      ~prefix_len:24 () in
+  let seen = ref [] in
+  Iface.add_receiver ifc (fun p -> seen := p :: !seen);
+  Iface.add_receiver ifc (fun p -> seen := p :: !seen);
+  Iface.deliver ifc "not a frame";
+  Alcotest.(check int) "unparseable frame counted" 1 (Iface.frames_received ifc);
+  Alcotest.(check int) "and delivered to no receiver" 0 (List.length !seen);
+  Iface.deliver ifc
+    (Packet.udp ~src_mac:(Mac.make_local 2) ~dst_mac:(Mac.make_local 1)
+       ~src_ip:(ip "10.0.0.2") ~dst_ip:(ip "10.0.0.1")
+       (Udp.make ~src_port:1 ~dst_port:2 "x"));
+  Alcotest.(check int) "good frame counted" 2 (Iface.frames_received ifc);
+  match !seen with
+  | [ a; b ] -> Alcotest.(check bool) "one parse shared by both receivers" true (a == b)
+  | _ -> Alcotest.fail "each receiver must see the frame once"
+
 let test_zebra_apply_config () =
   let z = Zebra.create ~hostname:"r1" () in
   let ifc = Iface.create ~name:"eth1" ~mac:(Mac.make_local 1) ~ip:(ip "172.16.0.1")
@@ -572,7 +593,10 @@ let reoriginate d rid f =
     | Ospf_pkt.Router { links } -> Ospf_pkt.Router { links = f links }
     | b -> b
   in
-  Ospfd.install_lsa d { lsa with seq = Int32.succ lsa.Ospf_pkt.seq; body }
+  Ospfd.install_lsa d
+    (Ospf_pkt.make_lsa ~age:lsa.age ~options:lsa.options
+       ~link_state_id:lsa.link_state_id ~adv_router:lsa.adv_router
+       ~seq:(Int32.succ lsa.seq) body)
 
 let ospfd_join engine a b =
   Iface.set_transmit a (fun f ->
@@ -791,6 +815,7 @@ let test_ospfd_loading_neighbour_republishes () =
   Iface.deliver mine
     (Packet.ospf ~src_mac:(Iface.mac theirs) ~dst_mac:(Iface.mac mine)
        ~src_ip:(Iface.ip theirs) ~dst_ip:(Iface.ip mine)
+     @@ Ospf_pkt.to_wire
        {
          Ospf_pkt.router_id = rid 1;
          area_id = Ipv4_addr.any;
@@ -930,6 +955,7 @@ let suite =
     Alcotest.test_case "zebra unnumbered then addressed" `Quick
       test_zebra_unnumbered_then_addressed;
     Alcotest.test_case "zebra apply_config" `Quick test_zebra_apply_config;
+    Alcotest.test_case "iface parses each frame once" `Quick test_iface_parses_once;
     QCheck_alcotest.to_alcotest prop_spf_incremental_matches_full;
     Alcotest.test_case "SPF ties ignore router insertion order" `Quick
       test_spf_insertion_order;
